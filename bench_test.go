@@ -1,7 +1,6 @@
 package equalizer_test
 
 import (
-	"fmt"
 	"testing"
 
 	"equalizer/internal/config"
@@ -186,9 +185,9 @@ func BenchmarkSimulatorCyclesPerSecond(b *testing.B) {
 
 // benchmarkEngine runs one kernel to completion on the selected cycle engine
 // and reports simulated SM cycles per wall second. The fast/legacy pairs
-// below are the cycle-engine smoke benchmarks CI tracks (BENCH_engine.json
-// holds the full-scale numbers from cmd/eqbench -exp engine).
-func benchmarkEngine(b *testing.B, kernel string, fastForward bool, shards int) {
+// below are the cycle-engine smoke benchmarks CI tracks (`go run ./bench`
+// holds the full-scale numbers as gpu.run_ns_per_cycle).
+func benchmarkEngine(b *testing.B, kernel string, fastForward bool) {
 	k, err := kernels.ByName(kernel)
 	if err != nil {
 		b.Fatal(err)
@@ -199,7 +198,6 @@ func benchmarkEngine(b *testing.B, kernel string, fastForward bool, shards int) 
 	for i := 0; i < b.N; i++ {
 		m := gpu.MustNew(config.Default(), power.Default(), core.New(core.EnergyMode))
 		m.SetFastForward(fastForward)
-		m.SetSMShards(shards)
 		for inv := 0; inv < k.Invocations; inv++ {
 			res, err := m.RunKernel(k, inv)
 			if err != nil {
@@ -214,24 +212,17 @@ func benchmarkEngine(b *testing.B, kernel string, fastForward bool, shards int) 
 // BenchmarkEngine measures the cycle engines on one compute-bound and one
 // memory-bound kernel: cutcp saturates the ALU pipes (the bitset issue path
 // carries the fast engine's win), lbm stalls on DRAM (the quiescent-cycle
-// bulk advance carries it). The shard axis steps the SMs with 1 (sequential)
-// or more workers; output is byte-identical across the axis, so the delta is
-// pure wall-clock.
+// bulk advance carries it). The legacy axis is the per-cycle reference loop
+// the differential suite compares against.
 func BenchmarkEngine(b *testing.B) {
-	shardAxis := []int{1, 2}
-	if n := gpu.AutoShards(1, config.Default().NumSMs); n > 2 {
-		shardAxis = append(shardAxis, n)
-	}
 	for _, kernel := range []string{"cutcp", "lbm"} {
 		for _, engine := range []struct {
 			name string
 			fast bool
 		}{{"fast", true}, {"legacy", false}} {
-			for _, shards := range shardAxis {
-				b.Run(fmt.Sprintf("%s/%s/shards=%d", kernel, engine.name, shards), func(b *testing.B) {
-					benchmarkEngine(b, kernel, engine.fast, shards)
-				})
-			}
+			b.Run(kernel+"/"+engine.name, func(b *testing.B) {
+				benchmarkEngine(b, kernel, engine.fast)
+			})
 		}
 	}
 }

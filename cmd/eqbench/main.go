@@ -7,18 +7,16 @@
 //	eqbench -exp fig7           # one experiment
 //	eqbench -exp summary        # headline numbers only
 //	eqbench -exp fig1 -scale .5 # scaled-down grids for a quick look
-//	eqbench -exp engine -json   # cycle-engine throughput (BENCH_engine.json)
 //
 // Experiments: table1 table2 table3 fig1 fig2a fig2b fig4 fig5 fig7 fig8
 // fig9 fig10 fig11a fig11b summary all, plus the extension studies
 // `ablation` (runtime-parameter sweeps), `boost` (GPU-Boost-style
-// power-headroom baseline), `concurrent` (multi-kernel partitioning),
-// `engine` (cycle-engine throughput) and `service` (eqsimd serving-path
-// load benchmark: tail latency, throughput, shed rate, cache hit rate —
-// BENCH_service.json), which are not part of `all`. -service-tune adds a
-// warm pass with the self-tuning controller on; -service-url points the
-// same load harness at an externally running eqsimd (the CI smoke uses
-// this to drive a -tune instance).
+// power-headroom baseline), `concurrent` (multi-kernel partitioning) and
+// `service` (eqsimd serving-path load benchmark: tail latency, throughput,
+// shed rate, cache hit rate — BENCH_service.json), which are not part of
+// `all`. -service-tune adds a warm pass with the self-tuning controller on;
+// -service-url points the same load harness at an externally running eqsimd
+// (the CI smoke uses this to drive a -tune instance).
 //
 // -check old.json new.json compares two BENCH_service.json files and exits
 // non-zero when the fresh warm-pass p95 regressed more than 25% over the
@@ -51,9 +49,8 @@ func main() {
 	var (
 		expName    = flag.String("exp", "summary", "experiment id or 'all'")
 		scale      = flag.Float64("scale", 1.0, "grid-size scale factor (0,1]")
-		asJSON     = flag.Bool("json", false, "emit JSON instead of text (fig7, fig8, fig10, summary, boost, engine, service)")
+		asJSON     = flag.Bool("json", false, "emit JSON instead of text (fig7, fig8, fig10, summary, boost, service)")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		smShards   = flag.Int("sm-shards", 0, "intra-run SM worker count per simulation (0 = auto: never oversubscribes -parallel)")
 		cacheDir   = flag.String("cache-dir", ".eqcache", "persistent result-cache directory")
 		noCache    = flag.Bool("no-cache", false, "disable the persistent result cache")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -83,9 +80,8 @@ func main() {
 		}
 	}()
 	servicePar = *parallel
-	benchShards = *smShards
 	reg := telemetry.NewRegistry()
-	h, err := newHarness(*scale, *parallel, *smShards, *cacheDir, *noCache, reg)
+	h, err := newHarness(*scale, *parallel, *cacheDir, *noCache, reg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "eqbench: %v\n", err)
 		os.Exit(1)
@@ -133,11 +129,10 @@ func main() {
 // newHarness wires the experiment harness with the pool width and the disk
 // cache selected on the command line. The registry backs -metrics-addr live
 // serving.
-func newHarness(scale float64, parallel, smShards int, cacheDir string, noCache bool, reg *telemetry.Registry) (*exp.Harness, error) {
+func newHarness(scale float64, parallel int, cacheDir string, noCache bool, reg *telemetry.Registry) (*exp.Harness, error) {
 	opts := exp.Options{
 		GridScale:   scale,
 		Parallelism: parallel,
-		SMShards:    smShards,
 		Registry:    reg,
 		Logf: func(format string, args ...interface{}) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -164,12 +159,6 @@ func printStats(h *exp.Harness) {
 
 func run(h *exp.Harness, name string, scale float64) (string, error) {
 	switch name {
-	case "engine":
-		rep, err := engineBench(scale, benchShards)
-		if err != nil {
-			return "", err
-		}
-		return renderEngine(rep), nil
 	case "service":
 		rep, err := serviceBench(scale, serviceRequests, serviceClients, servicePar)
 		if err != nil {
@@ -284,8 +273,6 @@ func runJSON(h *exp.Harness, name string, scale float64) error {
 	var v interface{}
 	var err error
 	switch name {
-	case "engine":
-		v, err = engineBench(scale, benchShards)
 	case "service":
 		v, err = serviceBench(scale, serviceRequests, serviceClients, servicePar)
 	case "fig7":

@@ -35,13 +35,11 @@ import (
 
 // Load-pass shape, set from the command line (-service-requests,
 // -service-clients, -service-tune, -service-url); -parallel bounds the
-// service's simulation workers and -sm-shards pins the engine benchmark's
-// shard axis.
+// service's simulation workers.
 var (
 	serviceRequests int
 	serviceClients  int
 	servicePar      int
-	benchShards     int
 	serviceTune     bool
 	serviceURL      string
 )

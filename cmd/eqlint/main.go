@@ -11,7 +11,7 @@
 // documentation of internal/analysis for the full directive vocabulary.
 //
 // Packages load and analyze across GOMAXPROCS workers; the module
-// analyzers (shardphase, allocfree) then run once over the whole load, and
+// analyzer (allocfree) then runs once over the whole load, and
 // output is path-sorted so runs are deterministic at any parallelism.
 //
 // When a .eqlint-baseline.json file exists at the module root (or -baseline

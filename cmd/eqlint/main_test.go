@@ -30,7 +30,7 @@ func TestList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("run(-list) = %d, stderr %q", code, errb.String())
 	}
-	for _, name := range []string{"allocfree", "cycleaccounting", "errstrict", "nodeterminism", "probehygiene", "shardphase"} {
+	for _, name := range []string{"allocfree", "cycleaccounting", "errstrict", "nodeterminism", "probehygiene"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, out.String())
 		}

@@ -64,7 +64,6 @@ func main() {
 		asJSON     = flag.Bool("json", false, "emit the result as JSON ({kernel, policy, totals})")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		fastFwd    = flag.Bool("fastforward", true, "use the fast-path cycle engine (quiescent-cycle skip + bitset scheduling); false falls back to the legacy per-cycle loop")
-		smShards   = flag.Int("sm-shards", 0, "intra-run SM worker count (0 = auto: min(GOMAXPROCS, SMs); 1 = sequential); results are byte-identical at any value")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
 	flag.Parse()
@@ -120,13 +119,11 @@ func main() {
 	// re-run suspect results on the legacy engine, never to serve them from a
 	// cache populated by the fast path.
 	if !*verbose && *metrics == "" && *metricsAdr == "" && !*noCache && *set == "" && *fastFwd {
-		// Sharding is safe to serve from the shared cache: results are
-		// byte-identical at any shard count, so the key needn't carry it.
 		cache, err := runcache.Open(*cacheDir)
 		if err != nil {
 			fatal(err)
 		}
-		h := exp.New(exp.Options{Cache: cache, Parallelism: 1, SMShards: *smShards})
+		h := exp.New(exp.Options{Cache: cache, Parallelism: 1})
 		tot, err = h.Run(k, setupFromFlags(*policyName, static, sl, ml, *blocks))
 		if err != nil {
 			fatal(err)
@@ -140,11 +137,6 @@ func main() {
 			fatal(err)
 		}
 		m.SetFastForward(*fastFwd)
-		shards := *smShards
-		if shards <= 0 {
-			shards = gpu.AutoShards(1, gpuCfg.NumSMs)
-		}
-		m.SetSMShards(shards)
 		if static {
 			m.SetLevelsImmediate(sl, ml)
 		}

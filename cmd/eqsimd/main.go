@@ -62,7 +62,7 @@ type options struct {
 	addr, debugAddr        string
 	cacheDir               string
 	noCache                bool
-	parallel, smShards     int
+	parallel               int
 	queueDepth             int
 	scale                  float64
 	traceCap               int
@@ -82,7 +82,6 @@ func main() {
 	flag.StringVar(&o.cacheDir, "cache-dir", ".eqcache", "persistent result-cache directory")
 	flag.BoolVar(&o.noCache, "no-cache", false, "disable the persistent result cache")
 	flag.IntVar(&o.parallel, "parallel", 0, "concurrent simulations (0 = GOMAXPROCS; ignored with -tune)")
-	flag.IntVar(&o.smShards, "sm-shards", 0, "intra-run SM worker count per simulation (0 = auto: never oversubscribes -parallel)")
 	flag.IntVar(&o.queueDepth, "queue-depth", 64, "run cells that may wait beyond the in-flight ones before shedding")
 	flag.Float64Var(&o.scale, "scale", 1.0, "grid-size scale factor (0,1]")
 	flag.IntVar(&o.traceCap, "trace-capacity", 256, "request-trace ring-buffer capacity")
@@ -147,7 +146,6 @@ func run(o options) error {
 	svc, err := service.New(service.Config{
 		GridScale:      o.scale,
 		Parallelism:    o.parallel,
-		SMShards:       o.smShards,
 		QueueDepth:     o.queueDepth,
 		CacheDir:       o.cacheDir,
 		TraceCapacity:  o.traceCap,

@@ -17,7 +17,7 @@ import (
 //
 // The walk descends static and devirtualized-interface edges only; calls
 // through func values are not followed (the runtime alloc pins remain the
-// backstop for those, see DESIGN.md §10). Amortized allocations that are
+// backstop for those, see DESIGN.md §9). Amortized allocations that are
 // deliberate — pooled slices that grow to a steady-state capacity — are
 // recorded in .eqlint-baseline.json rather than blessed inline, so the
 // debt list stays explicit and shrink-only.

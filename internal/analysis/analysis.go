@@ -16,8 +16,8 @@
 // one type-checked package at a time. Module analyzers implement RunModule
 // and see every loaded package at once through a Module, which carries a
 // conservative call graph (see callgraph.go) and an exported-facts store —
-// the x/tools Fact idea — so cross-package properties like shard-phase
-// safety and hot-path allocation-freedom are checkable.
+// the x/tools Fact idea — so cross-package properties like hot-path
+// allocation-freedom are checkable.
 //
 // # Suppression directives
 //
@@ -33,18 +33,13 @@
 // nothing, silently), and directives that suppressed nothing are reported
 // under eqlint -strict-directives.
 //
-// Five more directives mark blessed code rather than suppressing findings:
+// Four more directives mark blessed code rather than suppressing findings:
 //
 //	//eqlint:cycle-owner   on a function: it may mutate cycle/epoch counters
 //	//eqlint:emitpath      on a function: it is a telemetry emit path and
 //	                       must not allocate
 //	//eqlint:hotpath       on a function: it is a steady-state hot path;
 //	                       allocfree checks everything reachable from it
-//	//eqlint:shardroot     on a function: it runs on a shard-worker
-//	                       goroutine; shardphase checks everything reachable
-//	                       from it
-//	//eqlint:barrierphase  on a function: it runs only on the coordinator
-//	                       between phase barriers and may touch shared state
 //	eqlint:nilsafe         in a type's doc comment: every pointer-receiver
 //	                       method must begin with a receiver nil check
 package analysis

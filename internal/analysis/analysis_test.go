@@ -17,7 +17,6 @@ func TestAnalyzers(t *testing.T) {
 		{CycleAccounting, "cycleaccounting"},
 		{ProbeHygiene, "probehygiene"},
 		{ErrStrict, "errstrict"},
-		{ShardPhase, "shardphase"},
 		{AllocFree, "allocfree"},
 	}
 	for _, tc := range cases {

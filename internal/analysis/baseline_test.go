@@ -10,7 +10,7 @@ import (
 func sampleReport() *Report {
 	diags := []Diagnostic{
 		{Pos: token.Position{Filename: "/mod/b.go", Line: 9, Column: 2}, Analyzer: "allocfree", Message: "make allocates (x)"},
-		{Pos: token.Position{Filename: "/mod/a.go", Line: 3, Column: 5}, Analyzer: "shardphase", Message: "write (y)"},
+		{Pos: token.Position{Filename: "/mod/a.go", Line: 3, Column: 5}, Analyzer: "errstrict", Message: "write (y)"},
 		{Pos: token.Position{Filename: "/mod/a.go", Line: 3, Column: 5}, Analyzer: "allocfree", Message: "make allocates (x)"},
 	}
 	return NewReport("/mod", diags)
@@ -92,7 +92,7 @@ func TestWriteSARIF(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := buf.String()
-	for _, want := range []string{`"2.1.0"`, `"eqlint"`, `"shardphase"`, `"allocfree"`, `"uri": "a.go"`, `"startLine": 9`} {
+	for _, want := range []string{`"2.1.0"`, `"eqlint"`, `"errstrict"`, `"allocfree"`, `"uri": "a.go"`, `"startLine": 9`} {
 		if !strings.Contains(s, want) {
 			t.Errorf("SARIF output missing %s:\n%s", want, s)
 		}
@@ -103,10 +103,10 @@ func TestWriteSARIF(t *testing.T) {
 func TestDiagnosticString(t *testing.T) {
 	d := Diagnostic{
 		Pos:      token.Position{Filename: "pkg/f.go", Line: 7, Column: 13},
-		Analyzer: "shardphase",
+		Analyzer: "errstrict",
 		Message:  "boom",
 	}
-	if got, want := d.String(), "pkg/f.go:7:13: shardphase: boom"; got != want {
+	if got, want := d.String(), "pkg/f.go:7:13: errstrict: boom"; got != want {
 		t.Errorf("Diagnostic.String() = %q, want %q", got, want)
 	}
 }

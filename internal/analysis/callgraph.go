@@ -17,11 +17,11 @@ import (
 // condition (the eqdebug invariant guards compile to `if false` in release
 // analysis) contribute no edges.
 //
-// Known unsoundness, accepted and documented in DESIGN.md §10: a method
+// Known unsoundness, accepted and documented in DESIGN.md §9: a method
 // bound to a func value (s.wakeFn = s.wakeWarp) re-enters the graph only at
-// the dynamic call site, not at the bound method — shardphase flags the
-// dynamic site itself, and the runtime differential/alloc-pin suites remain
-// the backstop behind every static exemption.
+// the dynamic call site, not at the bound method — such bodies carry their
+// own //eqlint:hotpath root, and the runtime differential/alloc-pin suites
+// remain the backstop behind every static exemption.
 type CallGraph struct {
 	nodes map[*types.Func]*CallNode
 	// namedTypes are the non-generic named types of the module packages,

@@ -15,13 +15,11 @@ const DirectivesName = "directives"
 // knownDirectiveVerbs are the valid words after //eqlint: — anything else
 // is a typo that silently does nothing.
 var knownDirectiveVerbs = map[string]bool{
-	"allow":        true,
-	"cycle-owner":  true,
-	"emitpath":     true,
-	"hotpath":      true,
-	"nilsafe":      true,
-	"shardroot":    true,
-	"barrierphase": true,
+	"allow":       true,
+	"cycle-owner": true,
+	"emitpath":    true,
+	"hotpath":     true,
+	"nilsafe":     true,
 }
 
 // VerifyDirectives checks a package's //eqlint: comments for hygiene
@@ -66,7 +64,7 @@ func VerifyDirectives(pkg *Package, known map[string]bool, ranNames map[string]b
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				report(pos.Filename, pos.Line, pos.Column,
-					"unknown eqlint directive %q (known: allow, barrierphase, cycle-owner, emitpath, hotpath, nilsafe, shardroot)", verb)
+					"unknown eqlint directive %q (known: allow, cycle-owner, emitpath, hotpath, nilsafe)", verb)
 			}
 		}
 	}

@@ -70,7 +70,7 @@ func FuzzAllowDirective(f *testing.F) {
 		"//eqlint:allow",
 		"//eqlint:allow -- bare with reason",
 		"//eqlint:allowfoo not an allow",
-		"//eqlint:shardroot",
+		"//eqlint:hotpath",
 		"//nolint:errcheck",
 		"//nolint:errcheck // trailing",
 		"//nolint:gosec,errcheck",

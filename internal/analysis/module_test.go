@@ -7,19 +7,17 @@ import (
 )
 
 // TestModuleAnalyzersNoRoots checks the fall-back: over a package with no
-// shardroot/hotpath annotations, both module analyzers are silent instead
-// of guessing roots.
+// hotpath/emitpath annotations, the module analyzer is silent instead of
+// guessing roots.
 func TestModuleAnalyzersNoRoots(t *testing.T) {
 	pkg := loadTestPkg(t, "errstrict")
 	mod := NewModule([]*Package{pkg})
-	for _, a := range []*Analyzer{ShardPhase, AllocFree} {
-		diags, err := RunModuleAnalyzer(a, mod)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
-		}
-		if len(diags) != 0 {
-			t.Errorf("%s over un-annotated package = %d diagnostics, want 0: %v", a.Name, len(diags), diags)
-		}
+	diags, err := RunModuleAnalyzer(AllocFree, mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 0 {
+		t.Errorf("allocfree over un-annotated package = %d diagnostics, want 0: %v", len(diags), diags)
 	}
 }
 
@@ -43,29 +41,28 @@ func method(t *testing.T, pkg *Package, typeName, methodName string) *types.Func
 	return nil
 }
 
-// TestShardPhaseFacts checks the facts store: shardphase exports a
-// ShardReachableFact for every function it visits, naming the root, and
-// functions it never reaches carry no fact.
-func TestShardPhaseFacts(t *testing.T) {
-	pkg := loadTestPkg(t, "shardphase")
+// TestHotPathFacts checks the facts store: allocfree exports a HotPathFact
+// for every function it visits, naming the root, and functions it never
+// reaches carry no fact.
+func TestHotPathFacts(t *testing.T) {
+	pkg := loadTestPkg(t, "allocfree")
 	mod := NewModule([]*Package{pkg})
-	if _, err := RunModuleAnalyzer(ShardPhase, mod); err != nil {
+	if _, err := RunModuleAnalyzer(AllocFree, mod); err != nil {
 		t.Fatal(err)
 	}
 
-	var fact ShardReachableFact
-	helper := method(t, pkg, "shardEngine", "helper")
-	if !mod.ImportObjectFact(helper, &fact) {
-		t.Fatal("no ShardReachableFact on helper, which is reachable from worker")
+	var fact HotPathFact
+	flush := method(t, pkg, "bus", "flush")
+	if !mod.ImportObjectFact(flush, &fact) {
+		t.Fatal("no HotPathFact on flush, which is reachable from emit")
 	}
-	if fact.Root == "" || !strings.Contains(fact.Root, "worker") {
-		t.Errorf("helper's fact root = %q, want the worker root", fact.Root)
+	if !strings.Contains(fact.Root, "emit") {
+		t.Errorf("flush's fact root = %q, want the emit root", fact.Root)
 	}
 
-	// reduce is barrier-phase: calls to it are flagged, not followed.
-	reduce := method(t, pkg, "shardEngine", "reduce")
-	if mod.ImportObjectFact(reduce, &fact) {
-		t.Errorf("barrier-phase reduce carries a reachability fact (root %q); the walk must stop at the report", fact.Root)
+	// impl.m is never called: the walk must not have visited it.
+	if mod.ImportObjectFact(method(t, pkg, "impl", "m"), &fact) {
+		t.Errorf("uncalled impl.m carries a reachability fact (root %q)", fact.Root)
 	}
 }
 

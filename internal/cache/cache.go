@@ -172,7 +172,6 @@ func (c *Cache) tag(a Addr) uint64      { return uint64(a) >> c.lineShift }
 func (c *Cache) Access(a Addr) AccessResult {
 	res := c.access(a)
 	if c.probe.Enabled(c.accessKind) {
-		//eqlint:allow shardphase -- probeNow is installed per cache at construction and reads only the owning SM's clock
 		c.probe.Emit(c.probeNow(), c.accessKind, c.probeSrc, int64(c.LineAddr(a)), int64(res))
 	}
 	return res
@@ -256,7 +255,6 @@ func (c *Cache) Fill(a Addr) int {
 		c.lastVictim = Addr(set[victim].tag << c.lineShift)
 		c.hasLastVictim = true
 		if c.probe.Enabled(c.evictKind) {
-			//eqlint:allow shardphase -- mem sharding is gated off whenever the evict kind is unmasked, so sharded fills never reach this Emit; when they could, Enabled is false
 			c.probe.Emit(c.probeNow(), c.evictKind, c.probeSrc, int64(c.lastVictim), 0)
 		}
 	} else {

@@ -268,7 +268,6 @@ type Equalizer struct {
 var (
 	_ gpu.Policy           = (*Equalizer)(nil)
 	_ gpu.FastForwardAware = (*Equalizer)(nil)
-	_ gpu.BatchAware       = (*Equalizer)(nil)
 )
 
 // New builds an Equalizer policy in the given mode with the paper's default
@@ -366,14 +365,6 @@ func (e *Equalizer) NextActiveCycle(smCycle int64) int64 {
 	return (smCycle/ec + 1) * ec
 }
 
-// NextSampleCycle implements gpu.BatchAware: OnSMCycle returns immediately
-// off the SampleInterval grid, so every cycle strictly between smCycle and
-// the next multiple is a pure no-op.
-func (e *Equalizer) NextSampleCycle(smCycle int64) int64 {
-	si := int64(e.cfg.SampleInterval)
-	return (smCycle/si + 1) * si
-}
-
 // AccumulateSpan implements gpu.FastForwardAware: add one sample per
 // SampleInterval multiple in [fromCycle, toCycle], each an exact copy of the
 // current census snapshot — precisely what OnSMCycle would have accumulated
@@ -414,7 +405,6 @@ func (e *Equalizer) decideEpoch(m *gpu.Machine, nowPS int64) {
 			e.applyBlockDecision(m, i, a, d.BlockDelta)
 		}
 		if e.Record {
-			//eqlint:allow allocfree -- Record-mode trace point, appended once per epoch; amortized over SampleInterval cycles
 			e.traces[i] = append(e.traces[i], TracePoint{
 				Epoch:        e.epoch,
 				Counters:     c,

@@ -161,7 +161,6 @@ func (c *Calendar[T]) PopReady(now int64, f func(T)) {
 			c.nextWheelValid = false
 			c.buckets[idx] = bucket[:0]
 			for i := range bucket {
-				//eqlint:allow shardphase -- caller-supplied delivery callback; SM-owned calendars only receive callbacks that touch that SM's state
 				f(bucket[i].val)
 				bucket[i] = calEntry[T]{}
 			}
@@ -178,7 +177,6 @@ func (c *Calendar[T]) PopReady(now int64, f func(T)) {
 			if bucket[i].at <= now {
 				c.wheelN--
 				c.nextWheelValid = false
-				//eqlint:allow shardphase -- caller-supplied delivery callback; SM-owned calendars only receive callbacks that touch that SM's state
 				f(bucket[i].val)
 			} else {
 				kept = append(kept, bucket[i])

@@ -38,7 +38,6 @@ func (q *Queue[T]) NextAt() (int64, bool) {
 // (ties in insertion order).
 func (q *Queue[T]) PopReady(now int64, f func(T)) {
 	for len(q.items) > 0 && q.items[0].at <= now {
-		//eqlint:allow shardphase -- caller-supplied delivery callback; SM-owned queues only receive callbacks that touch that SM's state
 		f(q.pop())
 	}
 }

@@ -41,15 +41,6 @@ type Options struct {
 	// owns its gpu.Machine, and figures aggregate results in declaration
 	// order from the memo, never in completion order.
 	Parallelism int
-	// SMShards sets each machine's intra-run worker count (gpu.SetSMShards):
-	// byte-identical results at any value. 0 derives a default from the
-	// host via gpu.AutoShards so the shard workers and the Parallelism
-	// worker pool together never oversubscribe the cores — a saturated pool
-	// gets sequential machines; a single-run harness gets the whole host.
-	// With 0, the width is recomputed per simulation against the LIVE pool
-	// size: the service tuner may resize the pool at runtime, and the shard
-	// budget tracks it. An explicit positive value pins the width forever.
-	SMShards int
 	// Cache is the persistent on-disk result store; nil disables disk
 	// caching (in-process memoisation always applies).
 	Cache *runcache.Cache
@@ -76,16 +67,14 @@ type Options struct {
 // when prefetches race, and it executes declared run grids on a bounded
 // worker pool. Safe for concurrent use.
 type Harness struct {
-	gpuCfg     config.GPU
-	pwrCfg     power.Config
-	scale      float64
-	par        int
-	smShards   int
-	autoShards bool
-	pool       *workpool.Pool
-	cache      *runcache.Cache
-	logf       func(format string, args ...interface{})
-	now        func() int64
+	gpuCfg config.GPU
+	pwrCfg power.Config
+	scale  float64
+	par    int
+	pool   *workpool.Pool
+	cache  *runcache.Cache
+	logf   func(format string, args ...interface{})
+	now    func() int64
 
 	mu   sync.Mutex
 	memo map[runKey]*memoEntry
@@ -102,8 +91,7 @@ type Harness struct {
 	sweepCutoffs                                   *telemetry.Counter
 	canceled                                       *telemetry.Counter
 	stageDedup, stageCache, stageSim               *telemetry.Histogram
-	shardBarriers, shardFallbacks                  *telemetry.Counter
-	shardStepTotal, shardFFTotal                   *telemetry.Counter
+	engineStepped, engineFastForward               *telemetry.Counter
 }
 
 // memoEntry is one singleflight cell: the first requester for a key becomes
@@ -141,11 +129,6 @@ func New(opts Options) *Harness {
 	if h.par <= 0 {
 		h.par = runtime.GOMAXPROCS(0)
 	}
-	h.smShards = opts.SMShards
-	if h.smShards <= 0 {
-		h.autoShards = true
-		h.smShards = gpu.AutoShards(h.par, h.gpuCfg.NumSMs)
-	}
 	h.pool = workpool.New(h.par)
 	if h.logf == nil {
 		h.logf = func(string, ...interface{}) {}
@@ -163,12 +146,9 @@ func New(opts Options) *Harness {
 	h.cacheErrs = reg.Counter("exp_cache_errors_total", "corrupt or unwritable cache entries", nil)
 	h.sweepCutoffs = reg.Counter("exp_sweep_cutoffs_total", "block sweeps stopped early by monotone-tail detection", nil)
 	h.canceled = reg.Counter("exp_runs_canceled_total", "runs abandoned by context cancellation before completing", nil)
-	h.shardBarriers = reg.Counter("gpu_shard_barrier_waits_total", "phase-barrier rounds crossed by sharded cycle engines", nil)
-	h.shardStepTotal = reg.Counter("gpu_shard_cycles_total", "SM cycles stepped by shard workers, by mode",
-		telemetry.Labels{"mode": "step"})
-	h.shardFFTotal = reg.Counter("gpu_shard_cycles_total", "SM cycles stepped by shard workers, by mode",
-		telemetry.Labels{"mode": "fastforward"})
-	h.shardFallbacks = reg.Counter("gpu_shard_sequential_fallbacks_total", "sharded runs that fell back to the sequential loop", nil)
+	const engineHelp = "SM-domain machine cycles simulated, by engine path"
+	h.engineStepped = reg.Counter("gpu_engine_cycles_total", engineHelp, telemetry.Labels{"mode": "stepped"})
+	h.engineFastForward = reg.Counter("gpu_engine_cycles_total", engineHelp, telemetry.Labels{"mode": "fast_forward"})
 	h.now = opts.Now
 	if h.now != nil {
 		bounds := []float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30}
@@ -209,25 +189,6 @@ func (h *Harness) Parallelism() int { return h.par }
 // it at runtime — resizing only changes how many runs execute concurrently,
 // never what a run computes.
 func (h *Harness) Pool() *workpool.Pool { return h.pool }
-
-// SMShards returns the per-machine intra-run worker count the harness was
-// built with. In auto mode this is a snapshot against the initial pool
-// width; each simulation recomputes the live value (effectiveShardsAt), so
-// a tuner-resized pool shifts the shard budget without rebuilding the
-// harness.
-func (h *Harness) SMShards() int { return h.smShards }
-
-// effectiveShardsAt returns the shard width a simulation started now should
-// use, given the host's scheduler width. An explicit Options.SMShards pins
-// the width; auto mode re-derives it from the LIVE pool size, so a pool the
-// service tuner has grown to saturation yields sequential machines and a
-// shrunken pool hands the freed cores to the shard workers.
-func (h *Harness) effectiveShardsAt(procs int) int {
-	if !h.autoShards {
-		return h.smShards
-	}
-	return gpu.AutoShardsAt(procs, h.pool.Size(), h.gpuCfg.NumSMs)
-}
 
 // SchedulerStats snapshots the harness's run and cache counters.
 type SchedulerStats struct {
@@ -536,13 +497,10 @@ func (h *Harness) simulate(ctx context.Context, k kernels.Kernel, s Setup) (Tota
 	if err != nil {
 		return Totals{}, err
 	}
-	m.SetSMShards(h.effectiveShardsAt(runtime.GOMAXPROCS(0)))
 	defer func() {
-		ss := m.ShardStats()
-		h.shardBarriers.Add(ss.Barriers)
-		h.shardStepTotal.Add(ss.StepCycles)
-		h.shardFFTotal.Add(ss.FastForwardCycles)
-		h.shardFallbacks.Add(ss.SequentialRuns)
+		stepped, fastForward, _ := m.EngineCycles()
+		h.engineStepped.Add(stepped)
+		h.engineFastForward.Add(fastForward)
 	}()
 	m.SetLevelsImmediate(s.SM, s.Mem)
 	var t Totals

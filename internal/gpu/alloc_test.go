@@ -18,16 +18,6 @@ import (
 // profile in hand showing the new allocations are per-run, not per-cycle.
 const allocBudgetPerRun = 64
 
-// allocBudgetPerRunSharded adds the shard engine's per-run setup to the
-// budget: worker goroutines and the engine descriptor are created at run
-// start (per-run, amortised over millions of cycles) — the spin-then-park
-// barrier rounds themselves must stay allocation-free, which is why the
-// park path reuses one mutex/cond pair instead of a per-round channel.
-// Replacing the per-worker job channels with the shared barrier brought a
-// warm sharded run under 20 allocations (the previous budget was 192); the
-// tightened budget keeps headroom for allocator noise only.
-const allocBudgetPerRunSharded = 128
-
 // TestSteadyStateRunAllocations is the hot-loop allocation pin, in the
 // spirit of telemetry's TestDisabledEmitIsAllocationFree: before the waiter
 // pools and the hoisted drain callbacks, a run this size allocated ~5x the
@@ -42,13 +32,9 @@ func TestSteadyStateRunAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		fastForward bool
-		shards      int
-		budget      float64
 	}{
-		{"fast", true, 1, allocBudgetPerRun},
-		{"legacy", false, 1, allocBudgetPerRun},
-		{"fast-sharded", true, 4, allocBudgetPerRunSharded},
-		{"legacy-sharded", false, 4, allocBudgetPerRunSharded},
+		{"fast", true},
+		{"legacy", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k, err := kernels.ByName("cutcp")
@@ -58,7 +44,6 @@ func TestSteadyStateRunAllocations(t *testing.T) {
 			k.GridBlocks = 30
 			m := MustNew(config.Default(), power.Default(), nil)
 			m.SetFastForward(tc.fastForward)
-			m.SetSMShards(tc.shards)
 			// Warm up: first run grows the pools, wake queues and stat buffers.
 			if _, err := m.RunKernel(k, 0); err != nil {
 				t.Fatal(err)
@@ -68,8 +53,8 @@ func TestSteadyStateRunAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if n > tc.budget {
-				t.Errorf("steady-state RunKernel allocates %.0f per run, budget %.0f", n, tc.budget)
+			if n > allocBudgetPerRun {
+				t.Errorf("steady-state RunKernel allocates %.0f per run, budget %d", n, allocBudgetPerRun)
 			}
 		})
 	}

@@ -33,21 +33,9 @@ type capture struct {
 }
 
 // runCapture executes invocations of tasks on a fresh machine with the
-// fast-forward engine on or off, the SMs stepped by shards workers
-// (1 = sequential), and captures every observable output. Cycle batching and
-// memory-domain sharding stay at their defaults (on); runCaptureKnobs pins
-// them explicitly.
+// fast-forward engine on or off and captures every observable output.
 func runCapture(t *testing.T, tasks []gpu.Task, invocations int,
-	mkPolicy func() gpu.Policy, mask telemetry.Mask, fastForward bool, shards int) capture {
-	t.Helper()
-	return runCaptureKnobs(t, tasks, invocations, mkPolicy, mask, fastForward, shards, true, true)
-}
-
-// runCaptureKnobs is runCapture with the idle-window cycle-batching and
-// memory-domain-sharding escape hatches pinned explicitly.
-func runCaptureKnobs(t *testing.T, tasks []gpu.Task, invocations int,
-	mkPolicy func() gpu.Policy, mask telemetry.Mask, fastForward bool, shards int,
-	batching, memSharding bool) capture {
+	mkPolicy func() gpu.Policy, mask telemetry.Mask, fastForward bool) capture {
 	t.Helper()
 	var pol gpu.Policy
 	if mkPolicy != nil {
@@ -55,9 +43,6 @@ func runCaptureKnobs(t *testing.T, tasks []gpu.Task, invocations int,
 	}
 	m := gpu.MustNew(config.Default(), power.Default(), pol)
 	m.SetFastForward(fastForward)
-	m.SetSMShards(shards)
-	m.SetCycleBatching(batching)
-	m.SetMemSharding(memSharding)
 	bus := telemetry.NewBus(1<<15, mask)
 	m.AttachTelemetry(bus)
 
@@ -164,8 +149,8 @@ func TestFastForwardByteIdenticalAllKernels(t *testing.T) {
 				return e
 			}
 			tasks := []gpu.Task{{Kernel: k}}
-			fast := runCapture(t, tasks, 1, mk, telemetry.MaskSpans, true, 1)
-			legacy := runCapture(t, tasks, 1, mk, telemetry.MaskSpans, false, 1)
+			fast := runCapture(t, tasks, 1, mk, telemetry.MaskSpans, true)
+			legacy := runCapture(t, tasks, 1, mk, telemetry.MaskSpans, false)
 			compareCaptures(t, fast, legacy)
 		})
 	}
@@ -188,8 +173,8 @@ func TestFastForwardByteIdenticalCensusMask(t *testing.T) {
 			k.GridBlocks = 30
 			mk := func() gpu.Policy { return core.New(core.PerformanceMode) }
 			tasks := []gpu.Task{{Kernel: k}}
-			fast := runCapture(t, tasks, 1, mk, mask, true, 1)
-			legacy := runCapture(t, tasks, 1, mk, mask, false, 1)
+			fast := runCapture(t, tasks, 1, mk, mask, true)
+			legacy := runCapture(t, tasks, 1, mk, mask, false)
 			compareCaptures(t, fast, legacy)
 		})
 	}
@@ -209,8 +194,24 @@ func TestFastForwardByteIdenticalMonitorMulti(t *testing.T) {
 		return policy.Multi{policy.NewStaticBlocks(4), policy.NewMonitor()}
 	}
 	tasks := []gpu.Task{{Kernel: k}}
-	fast := runCapture(t, tasks, 2, mk, telemetry.MaskSpans, true, 1)
-	legacy := runCapture(t, tasks, 2, mk, telemetry.MaskSpans, false, 1)
+	fast := runCapture(t, tasks, 2, mk, telemetry.MaskSpans, true)
+	legacy := runCapture(t, tasks, 2, mk, telemetry.MaskSpans, false)
+	compareCaptures(t, fast, legacy)
+}
+
+// TestFastForwardByteIdenticalCCWS compares a CCWS run: its per-SM issue
+// filter keeps the SMs on the linear-scan issue path and the policy is not
+// FastForwardAware, so the engine must step every cycle — and match.
+func TestFastForwardByteIdenticalCCWS(t *testing.T) {
+	k, err := kernels.ByName("kmn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.GridBlocks = 30
+	mk := func() gpu.Policy { return policy.NewCCWS() }
+	tasks := []gpu.Task{{Kernel: k}}
+	fast := runCapture(t, tasks, 1, mk, telemetry.MaskSpans, true)
+	legacy := runCapture(t, tasks, 1, mk, telemetry.MaskSpans, false)
 	compareCaptures(t, fast, legacy)
 }
 
@@ -232,8 +233,8 @@ func TestFastForwardByteIdenticalConcurrent(t *testing.T) {
 		e.Record = true
 		return e
 	}
-	fast := runCapture(t, tasks, 1, mk, telemetry.MaskSpans, true, 1)
-	legacy := runCapture(t, tasks, 1, mk, telemetry.MaskSpans, false, 1)
+	fast := runCapture(t, tasks, 1, mk, telemetry.MaskSpans, true)
+	legacy := runCapture(t, tasks, 1, mk, telemetry.MaskSpans, false)
 	compareCaptures(t, fast, legacy)
 }
 
@@ -247,7 +248,7 @@ func TestFastForwardByteIdenticalNilPolicy(t *testing.T) {
 	}
 	k.GridBlocks = 30
 	tasks := []gpu.Task{{Kernel: k}}
-	fast := runCapture(t, tasks, 2, nil, telemetry.MaskSpans, true, 1)
-	legacy := runCapture(t, tasks, 2, nil, telemetry.MaskSpans, false, 1)
+	fast := runCapture(t, tasks, 2, nil, telemetry.MaskSpans, true)
+	legacy := runCapture(t, tasks, 2, nil, telemetry.MaskSpans, false)
 	compareCaptures(t, fast, legacy)
 }

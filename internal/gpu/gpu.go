@@ -57,24 +57,6 @@ type FastForwardAware interface {
 	AccumulateSpan(m *Machine, fromCycle, toCycle int64)
 }
 
-// BatchAware is the policy extension the idle-window batch engine needs on
-// top of FastForwardAware. Unlike a fast-forward span, the SMs keep
-// executing real cycles inside a batched window, so the engine cannot
-// replay the policy's accumulation arithmetically — instead it calls
-// OnSMCycle once, at the window's last cycle, and needs the policy's
-// promise that all the skipped calls were no-ops: OnSMCycle(m, _, c) must
-// be a pure no-op for every cycle c with smCycle < c < NextSampleCycle(smCycle).
-// The window is capped so it ends at or before NextSampleCycle, where the
-// one real call observes machine state identical to the sequential loop's
-// (every batched cycle is a real Step).
-type BatchAware interface {
-	FastForwardAware
-	// NextSampleCycle returns the smallest cycle index c > smCycle at which
-	// OnSMCycle does anything at all (sampling included, not just
-	// machine-mutating epochs — contrast NextActiveCycle).
-	NextSampleCycle(smCycle int64) int64
-}
-
 // newMemController selects the DRAM model from the configuration.
 func newMemController(cfg config.GPU) memController {
 	if cfg.DRAMBanks > 0 {
@@ -172,33 +154,11 @@ type Machine struct {
 	// bitset schedulers); the -fastforward=false escape hatch restores the
 	// strictly per-cycle legacy loop.
 	fastForward bool
-	// batching enables idle-window cycle batching: when the memory domain is
-	// provably idle for the next k SM cycles (every SM's BatchBound covers
-	// them), the loop steps all k cycles in one engine round. Requires
-	// fastForward; SetCycleBatching is the differential-test escape hatch.
-	batching bool
-	// memSharding routes the per-SM endpoint half of memory-domain cycles
-	// (L1 fills/wakes, outbox port pushes) through the shard workers when an
-	// engine is active and the telemetry mask proves the work emission-free.
-	memSharding bool
-	// memShardable caches the per-run telemetry-mask check for memSharding;
-	// memDeliveries stages one memory cycle's deliveries in sequential order
-	// and replyStageFn is the once-allocated PopReady callback appending to
-	// it.
-	memShardable  bool
-	memDeliveries []icnt.Request
-	replyStageFn  func(r icnt.Request)
-
-	// Intra-run SM sharding. smShards is the requested worker count
-	// (<=1 = sequential); engine is non-nil only while a sharded invocation
-	// is in flight; stages are the per-SM telemetry stages the engine swaps
-	// in for the run (cached across runs, rebuilt when the bus changes);
-	// shardStats accumulates the engine's scheduling counters over the
-	// machine's lifetime. See shard.go.
-	smShards   int
-	engine     *shardEngine
-	stages     []*telemetry.Bus
-	shardStats ShardStats
+	// Engine path counters (see EngineCycles), advanced only at the loop's
+	// cycle-owner sites.
+	steppedCycles        uint64
+	fastForwardCycles    uint64
+	memIdleSkippedCycles uint64
 
 	// Kernel launch state: one partition per concurrently running kernel
 	// (a single partition spanning every SM in the common case).
@@ -247,8 +207,6 @@ func New(cfg config.GPU, pcfg power.Config, policy Policy) (*Machine, error) {
 		meter:        power.NewMeter(pcfg),
 		policy:       policy,
 		fastForward:  true,
-		batching:     true,
-		memSharding:  true,
 		lastSMLevel:  config.VFNormal,
 		lastMemLevel: config.VFNormal,
 	}
@@ -259,7 +217,6 @@ func New(cfg config.GPU, pcfg power.Config, policy Policy) (*Machine, error) {
 	m.deliverFn = func(r icnt.Request) {
 		m.sms[r.SM].DeliverLine(r.Line, clock.Time(m.lastMemNowPS))
 	}
-	m.replyStageFn = m.stageReply
 	return m, nil
 }
 
@@ -313,69 +270,13 @@ func (m *Machine) SetFastForward(enabled bool) {
 // FastForwardEnabled reports whether the fast-path engine is active.
 func (m *Machine) FastForwardEnabled() bool { return m.fastForward }
 
-// SetCycleBatching enables or disables idle-window cycle batching (default
-// on). Batching is byte-identical to per-cycle stepping — it only groups
-// real Step calls whose interleaved coordinator work is provably no-op —
-// and requires fast-forward mode; the setter exists for differential tests
-// and debugging. Call between runs, not mid-invocation.
-func (m *Machine) SetCycleBatching(enabled bool) { m.batching = enabled }
-
-// CycleBatchingEnabled reports whether idle-window batching is active
-// (it additionally requires fast-forward mode and a BatchAware or nil
-// policy at run time).
-func (m *Machine) CycleBatchingEnabled() bool { return m.batching }
-
-// SetMemSharding enables or disables sharded memory-domain endpoint
-// stepping (default on). It only applies to sharded runs whose telemetry
-// mask excludes the kinds the endpoint work could emit, and is
-// byte-identical to the sequential memory step; the setter exists for
-// differential tests and debugging. Call between runs, not mid-invocation.
-func (m *Machine) SetMemSharding(enabled bool) { m.memSharding = enabled }
-
-// MemShardingEnabled reports whether sharded memory-domain stepping is
-// requested.
-func (m *Machine) MemShardingEnabled() bool { return m.memSharding }
-
-// SetSMShards sets the intra-run worker count: n > 1 partitions the SMs into
-// n contiguous shards stepped by concurrent workers under a phase barrier,
-// with results byte-identical to the sequential loop at any count (see
-// shard.go). Values are clamped to [1, NumSMs]; use AutoShards to derive a
-// count from the host. Call between runs, not mid-invocation. Runs whose
-// policy installs per-SM observation hooks (CCWS) fall back to sequential
-// stepping regardless of the setting.
-func (m *Machine) SetSMShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(m.sms) {
-		n = len(m.sms)
-	}
-	m.smShards = n
-}
-
-// SMShards returns the configured intra-run worker count (1 = sequential).
-func (m *Machine) SMShards() int {
-	if m.smShards < 1 {
-		return 1
-	}
-	return m.smShards
-}
-
-// ShardStats returns the shard engine's accumulated scheduling counters.
-// Shards reports the effective worker count of the most recent run.
-func (m *Machine) ShardStats() ShardStats { return m.shardStats }
-
-// ensureStages builds (or rebuilds, after an AttachTelemetry change) the
-// per-SM telemetry stages the shard engine swaps in during a sharded run.
-// With a nil bus every stage is nil, which every bus method tolerates.
-func (m *Machine) ensureStages() {
-	if len(m.stages) == len(m.sms) && m.stages[0].Parent() == m.bus {
-		return
-	}
-	m.stages = m.stages[:0]
-	for range m.sms {
-		m.stages = append(m.stages, telemetry.NewStage(m.bus))
-	}
+// EngineCycles returns the engine path counters accumulated over the
+// machine's lifetime, in machine cycles: SM-domain cycles stepped through
+// the full loop body, SM-domain cycles fast-forwarded in bulk, and idle
+// memory-domain cycles skipped in bulk. stepped + fastForward equals the
+// sum of Result.SMCycles over every run.
+func (m *Machine) EngineCycles() (stepped, fastForward, memIdleSkipped uint64) {
+	return m.steppedCycles, m.fastForwardCycles, m.memIdleSkippedCycles
 }
 
 // Config returns the hardware configuration.
@@ -428,7 +329,6 @@ func (m *Machine) partitionOf(i int) *partition {
 		}
 	}
 	// No run configured yet: report hardware defaults.
-	//eqlint:allow allocfree -- fallback reached only before a run is configured; in-run hot-path queries always hit the loop above
 	return &partition{maxRes: m.cfg.MaxBlocksPerSM, wcta: 1}
 }
 
@@ -560,18 +460,40 @@ func (m *Machine) RunConcurrent(tasks []Task) ([]Result, Result, error) {
 	return m.run(tasks)
 }
 
-// run is the interleaved two-domain event loop and the canonical advance
-// site for the machine-level cycle counters.
-//
-//eqlint:cycle-owner
+// run simulates one launch: set-up, the two-domain loop, result assembly.
 func (m *Machine) run(tasks []Task) ([]Result, Result, error) {
+	start, err := m.launch(tasks)
+	if err != nil {
+		return nil, Result{}, err
+	}
+	if err := m.loop(); err != nil {
+		return nil, Result{}, err
+	}
+	results, total := m.assemble(start)
+	return results, total, nil
+}
+
+// runStart is the machine state launch snapshots so assemble can report the
+// invocation's deltas.
+type runStart struct {
+	ps       int64
+	smCycles int64
+	stats    sm.Stats
+	l1       cache.Stats
+	dram     dram.Stats
+	res      Residency
+}
+
+// launch partitions the SMs among tasks, resets per-invocation machine and
+// policy state, and snapshots the counters the result is measured against.
+func (m *Machine) launch(tasks []Task) (runStart, error) {
 	m.parts = m.parts[:0]
 	n := m.cfg.NumSMs
 	k := len(tasks)
 	for i, task := range tasks {
 		prof := task.Kernel.Profile(task.Invocation)
 		if err := prof.Validate(); err != nil {
-			return nil, Result{}, fmt.Errorf("gpu: %s invocation %d: %w",
+			return runStart{}, fmt.Errorf("gpu: %s invocation %d: %w",
 				task.Kernel.Name, task.Invocation, err)
 		}
 		if len(tasks) > 1 {
@@ -614,48 +536,6 @@ func (m *Machine) run(tasks []Task) ([]Result, Result, error) {
 		}
 	}
 
-	// Decide the stepping engine for this run. A policy that installed
-	// observation hooks during Reset (CCWS's issue filter and L1 listener)
-	// may share state across SMs, so any observed SM forces the sequential
-	// loop; the check runs here, after Reset, for exactly that reason.
-	shards := m.SMShards()
-	if shards > 1 {
-		for _, s := range m.sms {
-			if s.Observed() {
-				shards = 1
-				m.shardStats.SequentialRuns++
-				break
-			}
-		}
-	}
-	m.shardStats.Shards = shards
-	if shards > 1 {
-		m.ensureStages()
-		for i, s := range m.sms {
-			s.SetProbe(m.stages[i])
-		}
-		m.engine = newShardEngine(m, shards)
-		defer func() {
-			m.engine.stop()
-			m.shardStats.Barriers += m.engine.barriers
-			m.shardStats.StepCycles += m.engine.stepCycles
-			m.shardStats.BatchedCycles += m.engine.batchedCycles
-			m.shardStats.FastForwardCycles += m.engine.ffCycles
-			m.shardStats.MemRounds += m.engine.memRounds
-			m.engine = nil
-			for _, s := range m.sms {
-				s.SetProbe(m.bus)
-			}
-		}()
-	}
-	// Sharded memory-domain stepping is legal only when the endpoint work is
-	// provably emission-free: DeliverLine can emit L1 evictions and the
-	// network push path emits queue/stall events, so any of those kinds in
-	// the mask forces the sequential memory step (which stages nothing).
-	m.memShardable = m.engine != nil && m.memSharding &&
-		(m.bus == nil || m.bus.Mask()&telemetry.MaskOf(
-			telemetry.KindL1Evict, telemetry.KindICNTQueue, telemetry.KindICNTStall) == 0)
-
 	startPS := int64(m.smDomain.Next())
 	for p := range m.parts {
 		m.bus.Emit(startPS, telemetry.KindKernelBegin, int16(p),
@@ -664,11 +544,23 @@ func (m *Machine) run(tasks []Task) ([]Result, Result, error) {
 	startSMCycles := m.smDomain.Cycle()
 	m.flushPower()
 	m.meter.Reset()
-	startStats := m.aggregateSMStats()
-	startL1 := m.aggregateL1Stats()
-	startDRAM := m.dram.Stats()
-	startRes := m.residency()
+	return runStart{
+		ps:       startPS,
+		smCycles: startSMCycles,
+		stats:    m.aggregateSMStats(),
+		l1:       m.aggregateL1Stats(),
+		dram:     m.dram.Stats(),
+		res:      m.residency(),
+	}, nil
+}
 
+// loop is the interleaved two-domain event loop and the canonical advance
+// site for the machine-level cycle counters. It returns when every partition
+// has finished and the memory system has drained, or with an error if the
+// invocation exceeds the cycle backstop.
+//
+//eqlint:cycle-owner
+func (m *Machine) loop() error {
 	// Fast-forwarding needs the policy's cooperation: a policy that does not
 	// implement FastForwardAware may mutate the machine on any cycle, so
 	// every cycle must run. A nil policy constrains nothing.
@@ -679,17 +571,6 @@ func (m *Machine) run(tasks []Task) ([]Result, Result, error) {
 			aware = a
 		} else {
 			canFF = false
-		}
-	}
-	// Batching additionally needs the policy's no-op-between-samples promise
-	// (BatchAware); a nil policy constrains nothing.
-	var batchAware BatchAware
-	canBatch := canFF && m.batching
-	if m.policy != nil {
-		if b, ok := m.policy.(BatchAware); ok {
-			batchAware = b
-		} else {
-			canBatch = false
 		}
 	}
 
@@ -704,30 +585,20 @@ func (m *Machine) run(tasks []Task) ([]Result, Result, error) {
 					continue
 				}
 			}
-			if canBatch {
-				if kb := m.batchSpan(smNext, smCycle, batchAware); kb >= 2 {
-					m.applyBatch(kb, smCycle)
-					smCycle += kb
-					continue
-				}
-			}
 			now := m.smDomain.Tick()
 			m.afterSMLevelChange(now)
 			smCycle++
+			m.steppedCycles++
 			period := m.smDomain.CyclesToTime(1)
 			active := 0
-			if m.engine != nil {
-				active = m.engine.dispatch(shardJob{kind: shardJobStep, now: now, period: period})
-			} else {
-				for _, s := range m.sms {
-					s.Step(now, period)
-					if s.ResidentBlocks() > 0 {
-						active++
-					}
+			for _, s := range m.sms {
+				s.Step(now, period)
+				if s.ResidentBlocks() > 0 {
+					active++
 				}
 			}
 			m.activeSMTimePS += int64(period) * int64(active)
-			m.dispatchBlocks(int64(now))
+			m.dispatchBlocks()
 			if m.policy != nil {
 				m.policy.OnSMCycle(m, now, smCycle)
 			}
@@ -735,11 +606,11 @@ func (m *Machine) run(tasks []Task) ([]Result, Result, error) {
 				m.verifyInvariants()
 			}
 			if smCycle > maxInvocationCycles {
-				return nil, Result{}, fmt.Errorf("gpu: %s exceeded %d cycles",
+				return fmt.Errorf("gpu: %s exceeded %d cycles",
 					m.invocationLabel(), maxInvocationCycles)
 			}
 			if m.done(int64(now)) {
-				break
+				return nil
 			}
 		} else {
 			if canFF && m.memIdle() {
@@ -748,6 +619,7 @@ func (m *Machine) run(tasks []Task) ([]Result, Result, error) {
 					m.lastMemNowPS = int64(last)
 					m.dram.SkipIdle(m.memCycle+1, k)
 					m.memCycle += k
+					m.memIdleSkippedCycles += uint64(k)
 					m.hitDelayPS = int64(last) + int64(m.memDomain.CyclesToTime(m.cfg.L2HitLatency))
 					continue
 				}
@@ -755,14 +627,15 @@ func (m *Machine) run(tasks []Task) ([]Result, Result, error) {
 			now := m.memDomain.Tick()
 			m.afterMemLevelChange(now)
 			m.memCycle++
-			if m.memShardable {
-				m.stepMemorySharded(now)
-			} else {
-				m.stepMemory(now)
-			}
+			m.stepMemory(now)
 		}
 	}
+}
 
+// assemble flushes power attribution and reports the invocation as deltas
+// against the launch snapshot: one Result per partition plus the
+// machine-wide aggregate.
+func (m *Machine) assemble(start runStart) ([]Result, Result) {
 	m.flushPower()
 	endPS := int64(m.smDomain.Next())
 	endStats := m.aggregateSMStats()
@@ -773,26 +646,26 @@ func (m *Machine) run(tasks []Task) ([]Result, Result, error) {
 	total := Result{
 		Kernel:     m.parts[0].kernel.Name,
 		Invocation: m.parts[0].inv,
-		SMCycles:   m.smDomain.Cycle() - startSMCycles,
-		TimePS:     endPS - startPS,
+		SMCycles:   m.smDomain.Cycle() - start.smCycles,
+		TimePS:     endPS - start.ps,
 		Energy:     m.meter.Energy(),
 	}
 	cycles := float64(total.SMCycles)
 	if cycles > 0 {
 		issued := float64(endStats.IssuedALU + endStats.IssuedSFU + endStats.IssuedMEM + endStats.IssuedTEX -
-			startStats.IssuedALU - startStats.IssuedSFU - startStats.IssuedMEM - startStats.IssuedTEX)
+			start.stats.IssuedALU - start.stats.IssuedSFU - start.stats.IssuedMEM - start.stats.IssuedTEX)
 		total.IPC = issued / cycles
 	}
-	demand := float64(endL1.Hits + endL1.Misses + endL1.Merged - startL1.Hits - startL1.Misses - startL1.Merged)
+	demand := float64(endL1.Hits + endL1.Misses + endL1.Merged - start.l1.Hits - start.l1.Misses - start.l1.Merged)
 	if demand > 0 {
-		total.L1HitRate = float64(endL1.Hits-startL1.Hits) / demand
+		total.L1HitRate = float64(endL1.Hits-start.l1.Hits) / demand
 	}
-	if steps := endDRAM.StepCycles - startDRAM.StepCycles; steps > 0 {
-		total.DRAMUtil = float64(endDRAM.BusyCycles-startDRAM.BusyCycles) / float64(steps)
+	if steps := endDRAM.StepCycles - start.dram.StepCycles; steps > 0 {
+		total.DRAMUtil = float64(endDRAM.BusyCycles-start.dram.BusyCycles) / float64(steps)
 	}
 	for i := 0; i < 3; i++ {
-		total.Residency.SM[i] = endRes.SM[i] - startRes.SM[i]
-		total.Residency.Mem[i] = endRes.Mem[i] - startRes.Mem[i]
+		total.Residency.SM[i] = endRes.SM[i] - start.res.SM[i]
+		total.Residency.Mem[i] = endRes.Mem[i] - start.res.Mem[i]
 	}
 
 	results := make([]Result, len(m.parts))
@@ -801,11 +674,11 @@ func (m *Machine) run(tasks []Task) ([]Result, Result, error) {
 		results[i] = Result{
 			Kernel:     pt.kernel.Name,
 			Invocation: pt.inv,
-			TimePS:     pt.finishPS - startPS,
-			SMCycles:   (pt.finishPS - startPS) / int64(m.cfg.SMClockPS),
+			TimePS:     pt.finishPS - start.ps,
+			SMCycles:   (pt.finishPS - start.ps) / int64(m.cfg.SMClockPS),
 		}
 	}
-	return results, total, nil
+	return results, total
 }
 
 // machineCheckInterval spaces the machine-wide invariant sweep; it is
@@ -886,23 +759,13 @@ func (m *Machine) doneWouldChange() bool {
 func (m *Machine) fastForwardSpan(smNext, memNext clock.Time, smCycle int64, aware FastForwardAware) int64 {
 	// Every SM must be quiescent; w is the earliest state-changing event.
 	w := int64(math.MaxInt64)
-	if m.engine != nil {
-		// Sharded runs reduce shard by shard; the scan itself stays on the
-		// coordinator (every SM is at the phase barrier, reads are cheap).
-		at, ok := m.engine.nextEventReduce()
+	for _, s := range m.sms {
+		at, ok := s.NextEventAt()
 		if !ok {
 			return 0
 		}
-		w = at
-	} else {
-		for _, s := range m.sms {
-			at, ok := s.NextEventAt()
-			if !ok {
-				return 0
-			}
-			if at < w {
-				w = at
-			}
+		if at < w {
+			w = at
 		}
 	}
 	if w <= int64(smNext) {
@@ -972,17 +835,12 @@ func (m *Machine) fastForwardSpan(smNext, memNext clock.Time, smCycle int64, awa
 func (m *Machine) applyFastForward(n int64, firstPS, smCycle int64, aware FastForwardAware) {
 	period := int64(m.smDomain.CyclesToTime(1))
 	m.smDomain.TickN(n)
+	m.fastForwardCycles += uint64(n)
 	active := 0
-	if m.engine != nil {
-		active = m.engine.dispatch(shardJob{
-			kind: shardJobFastForward, period: clock.Time(period), n: n, firstPS: firstPS,
-		})
-	} else {
-		for _, s := range m.sms {
-			s.FastForward(n, firstPS, period)
-			if s.ResidentBlocks() > 0 {
-				active++
-			}
+	for _, s := range m.sms {
+		s.FastForward(n, firstPS, period)
+		if s.ResidentBlocks() > 0 {
+			active++
 		}
 	}
 	m.activeSMTimePS += period * int64(active) * n
@@ -1001,173 +859,6 @@ func (m *Machine) applyFastForward(n int64, firstPS, smCycle int64, aware FastFo
 		aware.AccumulateSpan(m, smCycle+1, smCycle+n)
 	}
 	if invariant.Enabled && (smCycle+n)/machineCheckInterval != smCycle/machineCheckInterval {
-		m.verifyInvariants()
-	}
-}
-
-// batchSpan returns how many upcoming SM cycles starting at boundary smNext
-// can be stepped as one batched window — real Step calls with every
-// interleaved piece of coordinator work provably a no-op — or 0 when the
-// next cycle must run the full loop body. The window's legality argument
-// (DESIGN.md §9): the memory domain is idle now and no SM can touch the
-// memory boundary inside the window (BatchBound), so every interleaved
-// memory cycle is pure bookkeeping the memory branch retires in bulk
-// afterwards; no warp exits inside the window (BatchBound again) and the
-// dispatcher is frozen, so residency is constant and done()/dispatchBlocks
-// are no-ops; the policy promises no-op OnSMCycle strictly before its next
-// sample cycle, where the window is capped. smCycle is the index of the
-// last completed SM cycle.
-//
-//eqlint:hotpath
-func (m *Machine) batchSpan(smNext clock.Time, smCycle int64, batchAware BatchAware) int64 {
-	if !m.memIdle() {
-		return 0
-	}
-	k := maxInvocationCycles - smCycle
-	for _, s := range m.sms {
-		if b := s.BatchBound(); b < k {
-			if b < 2 {
-				return 0
-			}
-			k = b
-		}
-	}
-	// The dispatcher must be a no-op for the whole window. No SM wants a
-	// block now, and nothing in the window can change that: exits are
-	// excluded by BatchBound and the policy cannot retune mid-window.
-	for p := range m.parts {
-		pt := &m.parts[p]
-		if pt.nextBlock >= pt.totalBlocks {
-			continue
-		}
-		for i := pt.smLo; i < pt.smHi; i++ {
-			if m.sms[i].WantsBlock(pt.wcta) {
-				return 0
-			}
-		}
-	}
-	if m.doneWouldChange() {
-		return 0
-	}
-	// Durable-done witness: doneWouldChange is false now, but unlike a
-	// fast-forward span the SMs evolve inside the window, and an SM that is
-	// non-idle only through stale queue entries could drain to idle
-	// mid-window — done() would then stamp a finish time at a cycle we skip.
-	// Require every unfinished fully-dispatched partition to hold a resident
-	// block somewhere: residency is frozen in-window (no exits, no
-	// launches), so such a partition provably stays non-idle at every
-	// skipped done() check.
-	for p := range m.parts {
-		pt := &m.parts[p]
-		if pt.finishPS != 0 || pt.nextBlock < pt.totalBlocks {
-			continue
-		}
-		resident := false
-		for i := pt.smLo; i < pt.smHi; i++ {
-			if m.sms[i].ResidentBlocks() > 0 {
-				resident = true
-				break
-			}
-		}
-		if !resident {
-			return 0
-		}
-	}
-	period := int64(m.smDomain.CyclesToTime(1))
-	// Never tick across a pending VF switch; the boundary that applies it
-	// runs for real (and the frozen level keeps afterSMLevelChange a no-op
-	// for every windowed cycle).
-	if at, pending := m.smDomain.SwitchPending(); pending {
-		if int64(at) <= int64(smNext) {
-			return 0
-		}
-		if lim := (int64(at)-1-int64(smNext))/period + 1; lim < k {
-			k = lim
-		}
-	}
-	// A pending memory-domain VF switch caps the window at its boundary:
-	// applyBatch retires the window's idle memory cycles in bulk, and the
-	// boundary that applies a switch must run for real in the memory branch.
-	if at, pending := m.memDomain.SwitchPending(); pending {
-		if int64(at) <= int64(smNext) {
-			return 0
-		}
-		if lim := (int64(at)-int64(smNext))/period + 1; lim < k {
-			k = lim
-		}
-	}
-	// The window may end exactly at the policy's next sample cycle: the one
-	// real OnSMCycle call at the window end then runs with machine state
-	// identical to the sequential loop's.
-	if batchAware != nil {
-		if lim := batchAware.NextSampleCycle(smCycle) - smCycle; lim < k {
-			k = lim
-		}
-	}
-	if k < 2 {
-		return 0
-	}
-	return k
-}
-
-// applyBatch steps the kb-cycle window established by batchSpan: every SM
-// runs kb real cycles (one engine round when sharded), the skipped
-// coordinator work is provably no-op, and the policy's one real call lands
-// at the window's last cycle. smCycle is the index of the last completed
-// cycle; the window covers smCycle+1 .. smCycle+kb.
-//
-//eqlint:cycle-owner
-//eqlint:hotpath
-func (m *Machine) applyBatch(kb, smCycle int64) {
-	period := int64(m.smDomain.CyclesToTime(1))
-	firstPS := int64(m.smDomain.Next())
-	last := m.smDomain.TickN(kb)
-	active := 0
-	if m.engine != nil {
-		active = m.engine.dispatch(shardJob{
-			kind: shardJobStepN, period: clock.Time(period), n: kb, firstPS: firstPS,
-		})
-	} else {
-		// Sequential batching emits in exactly the per-cycle order (cycle
-		// outermost, SMs in index order), so no staging is needed.
-		for j := int64(0); j < kb; j++ {
-			now := clock.Time(firstPS + j*period)
-			for _, s := range m.sms {
-				s.Step(now, clock.Time(period))
-			}
-		}
-		for _, s := range m.sms {
-			if s.ResidentBlocks() > 0 {
-				active++
-			}
-		}
-	}
-	// Residency is frozen in-window, so the final active count holds for
-	// every batched cycle.
-	m.activeSMTimePS += period * int64(active) * kb
-	// Catch the memory domain up to the sequential interleave point: every
-	// memory boundary strictly before the window-end SM boundary would have
-	// ticked (idle, by the window's legality argument) before the SM cycle
-	// that hosts the policy's one real call. Retire them through the same
-	// bulk mechanics as the memory branch's idle span so the policy observes
-	// the clocks the per-cycle loop would show it. A boundary exactly at the
-	// window end stays pending: ties run the SM side first.
-	if memNext := int64(m.memDomain.Next()); memNext < int64(last) {
-		memPeriod := int64(m.memDomain.CyclesToTime(1))
-		k := (int64(last)-1-memNext)/memPeriod + 1
-		lastMem := m.memDomain.TickN(k)
-		m.lastMemNowPS = int64(lastMem)
-		m.dram.SkipIdle(m.memCycle+1, k)
-		m.memCycle += k
-		m.hitDelayPS = int64(lastMem) + int64(m.memDomain.CyclesToTime(m.cfg.L2HitLatency))
-	}
-	if m.policy != nil {
-		// No-op unless the window ends exactly at the policy's sample cycle
-		// (the BatchAware contract); the machine state it then observes is
-		// the sequential loop's, cycle for cycle.
-		m.policy.OnSMCycle(m, last, smCycle+kb)
-	}
-	if invariant.Enabled && (smCycle+kb)/machineCheckInterval != smCycle/machineCheckInterval {
 		m.verifyInvariants()
 	}
 }
@@ -1223,10 +914,8 @@ func (m *Machine) verifyInvariants() {
 	}
 }
 
-// done reports completion and stamps partition finish times. Coordinator
-// phase only: it reads every SM and the shared drain state.
+// done reports completion and stamps partition finish times.
 //
-//eqlint:barrierphase
 //eqlint:hotpath
 func (m *Machine) done(nowPS int64) bool {
 	allDone := true
@@ -1260,13 +949,9 @@ func (m *Machine) done(nowPS int64) bool {
 }
 
 // dispatchBlocks launches pending blocks onto SMs with free slots.
-// Coordinator phase only: it walks partitions and mutates shared dispatch
-// cursors.
 //
-//eqlint:barrierphase
 //eqlint:hotpath
-func (m *Machine) dispatchBlocks(nowPS int64) {
-	_ = nowPS
+func (m *Machine) dispatchBlocks() {
 	for p := range m.parts {
 		pt := &m.parts[p]
 		if pt.nextBlock >= pt.totalBlocks {
@@ -1285,13 +970,9 @@ func (m *Machine) dispatchBlocks(nowPS int64) {
 	}
 }
 
-// stepMemory advances the memory partition by one memory-domain cycle.
-// It touches every shared memory-domain component (DRAM, L2, interconnect,
-// waiter tables), so it must only ever run on the coordinator between
-// phase barriers, and it executes once per memory cycle so it must not
-// allocate in steady state.
+// stepMemory advances the memory partition by one memory-domain cycle. It
+// executes once per memory cycle so it must not allocate in steady state.
 //
-//eqlint:barrierphase
 //eqlint:hotpath
 func (m *Machine) stepMemory(now clock.Time) {
 	m.lastMemNowPS = int64(now)
@@ -1325,87 +1006,6 @@ func (m *Machine) stepMemory(now clock.Time) {
 	// 4. The interconnect drains into the L2 / memory controller.
 	m.hitDelayPS = int64(now) + int64(m.memDomain.CyclesToTime(m.cfg.L2HitLatency))
 	m.net.Drain(m.drainFn)
-}
-
-// memShardMinWork is the endpoint-work threshold below which a sharded
-// memory cycle replays serially on the coordinator: waking the worker pool
-// costs two barrier rounds, which only pays for itself when several SMs
-// have deliveries or pushes to absorb. Deterministic — the count is a pure
-// function of simulation state.
-const memShardMinWork = 8
-
-// stepMemorySharded advances the memory partition by one memory-domain
-// cycle with the per-SM endpoint half (L1 fills/wakes for completed lines,
-// outbox port pushes) fanned out across the shard workers. The shared
-// phases — DRAM, L2, reply queue, interconnect drain — stay on the
-// coordinator in their sequential order; the endpoint work is staged into
-// memDeliveries in that same order, so each worker's per-SM projection
-// preserves per-SM delivery order and the merged effect is byte-identical
-// to stepMemory. Only called when memShardable (engine active, telemetry
-// mask excludes every kind the endpoint work could emit).
-//
-//eqlint:barrierphase
-//eqlint:hotpath
-func (m *Machine) stepMemorySharded(now clock.Time) {
-	m.lastMemNowPS = int64(now)
-	// 1. DRAM completions fill the L2; their waiting SM requests are staged
-	// rather than delivered.
-	m.memDeliveries = m.memDeliveries[:0]
-	for _, line := range m.dram.Step(m.memCycle) {
-		m.l2.Fill(line)
-		m.seenMem.DRAM++ // counted at service for level attribution
-		waiters := m.l2Waiters[line]
-		//eqlint:allow allocfree -- staging capacity is retained across cycles; grows only until the busiest cycle
-		m.memDeliveries = append(m.memDeliveries, waiters...)
-		delete(m.l2Waiters, line)
-		if cap(waiters) > 0 {
-			//eqlint:allow allocfree -- waiter-slice pool grows only until the busiest cycle; capacities are recycled, never dropped
-			m.l2WaiterPool = append(m.l2WaiterPool, waiters[:0])
-		}
-	}
-
-	// 2. Delayed L2 hit replies join the same staged list; both phases
-	// deliver at `now`, so one ordered list reproduces the sequential order.
-	m.l2Replies.PopReady(int64(now), m.replyStageFn)
-
-	// 3. Deliver and push — sharded when there is enough endpoint work to
-	// absorb the barrier round, serially (same staged order) otherwise.
-	work := len(m.memDeliveries)
-	for i, s := range m.sms {
-		if s.OutboxFull() && m.net.CanPush(i) {
-			work++
-		}
-	}
-	if work >= memShardMinWork {
-		pushed := m.engine.dispatch(shardJob{kind: shardJobMemEndpoints, now: now})
-		m.net.AddPushed(uint64(pushed))
-	} else {
-		for _, r := range m.memDeliveries {
-			m.sms[r.SM].DeliverLine(r.Line, now)
-		}
-		for i, s := range m.sms {
-			if s.OutboxFull() && m.net.CanPush(i) {
-				if r, ok := s.TakeOutbox(); ok {
-					m.net.Push(icnt.Request{SM: r.SM, Line: r.Line})
-				}
-			}
-		}
-	}
-
-	// 4. The interconnect drains into the L2 / memory controller.
-	m.hitDelayPS = int64(now) + int64(m.memDomain.CyclesToTime(m.cfg.L2HitLatency))
-	m.net.Drain(m.drainFn)
-}
-
-// stageReply appends one delayed L2 reply to the cycle's staged delivery
-// list; it is the body of the once-allocated replyStageFn callback. Marked
-// hotpath explicitly because the call graph cannot follow the func value
-// from stepMemorySharded.
-//
-//eqlint:hotpath
-func (m *Machine) stageReply(r icnt.Request) {
-	//eqlint:allow allocfree -- staging capacity is retained across cycles; grows only until the busiest cycle
-	m.memDeliveries = append(m.memDeliveries, r)
 }
 
 // drainRequest routes one interconnect request into the L2 / memory

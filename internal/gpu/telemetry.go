@@ -121,21 +121,13 @@ func (m *Machine) Collect(reg *telemetry.Registry) {
 			telemetry.Labels{"domain": "mem", "level": name}).Set(uint64(res.Mem[i]))
 	}
 
-	ss := m.shardStats
-	reg.Gauge("eq_shard_workers", "effective intra-run SM shard count of the last run",
-		nil).Set(float64(ss.Shards))
-	reg.Counter("eq_shard_barrier_waits_total", "phase-barrier rounds completed by the shard engine",
-		nil).Set(ss.Barriers)
-	reg.Counter("eq_shard_cycles_total", "SM cycles stepped by shard workers, by mode",
-		telemetry.Labels{"mode": "step"}).Set(ss.StepCycles)
-	reg.Counter("eq_shard_cycles_total", "SM cycles stepped by shard workers, by mode",
-		telemetry.Labels{"mode": "fastforward"}).Set(ss.FastForwardCycles)
-	reg.Counter("eq_shard_sequential_fallbacks_total", "sharded runs that fell back to the sequential loop (policy observation hooks)",
-		nil).Set(ss.SequentialRuns)
-	reg.Counter("eq_shard_batched_cycles_total", "SM cycles retired inside idle-window batches (one barrier round per window)",
-		nil).Set(ss.BatchedCycles)
-	reg.Counter("eq_shard_mem_rounds_total", "memory-domain cycles whose per-SM endpoint work was dispatched to shard workers",
-		nil).Set(ss.MemRounds)
+	const engineHelp = "SM-domain machine cycles by engine path: stepped through the full loop body or retired in bulk as a quiescent span"
+	reg.Counter("eq_engine_cycles_total", engineHelp,
+		telemetry.Labels{"mode": "stepped"}).Set(m.steppedCycles)
+	reg.Counter("eq_engine_cycles_total", engineHelp,
+		telemetry.Labels{"mode": "fast_forward"}).Set(m.fastForwardCycles)
+	reg.Counter("eq_engine_mem_idle_skipped_cycles_total", "memory-domain machine cycles retired in bulk while the memory partition was idle",
+		nil).Set(m.memIdleSkippedCycles)
 
 	if m.bus != nil {
 		reg.Counter("eq_probe_events_total", "events retained on the probe bus",

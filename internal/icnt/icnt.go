@@ -123,29 +123,6 @@ func (n *Network) Push(r Request) bool {
 	return true
 }
 
-// PortPush enqueues a request on its SM's ingress FIFO without touching the
-// network's shared statistics or probe, returning false when the FIFO is
-// full. It exists for the sharded memory-domain step: each shard worker
-// owns a disjoint SM range, so concurrent PortPush calls touch disjoint
-// port queues, and the coordinator folds the accepted count into the shared
-// statistics afterwards via AddPushed. Callers needing stats or probe
-// emission must use Push. Never allocates: a port queue's capacity is its
-// configured depth.
-func (n *Network) PortPush(r Request) bool {
-	q := n.queues[r.SM]
-	if len(q) >= n.cfg.QueueDepth {
-		return false
-	}
-	//eqlint:allow shardphase,allocfree -- shard workers own disjoint SM ranges so queues[r.SM] is private to the caller, and a port queue's capacity is pre-sized to QueueDepth so the append never grows it
-	n.queues[r.SM] = append(q, r)
-	return true
-}
-
-// AddPushed folds k accepted PortPush calls into the shared push counter.
-// Called by the shard coordinator after the phase barrier, so the counter
-// moves deterministically regardless of shard geometry.
-func (n *Network) AddPushed(k uint64) { n.stats.Pushed += k }
-
 // QueueLen returns the occupancy of one SM's FIFO.
 func (n *Network) QueueLen(sm int) int { return len(n.queues[sm]) }
 

@@ -132,12 +132,10 @@ func (s *ccwsSM) rebalance() {
 		return
 	}
 	// Rank warps by score descending; the bottom `throttled` lose access.
-	//eqlint:allow allocfree -- rebalance runs at epoch rate, not per cycle; CCWS is not BatchAware so applyBatch never actually drives it
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	//eqlint:allow allocfree -- epoch-rate sort; see the rebalance rationale above
 	sort.SliceStable(idx, func(a, b int) bool { return s.scores[idx[a]] > s.scores[idx[b]] })
 	for rank, w := range idx {
 		s.allowed[w] = rank < n-throttled

@@ -19,7 +19,6 @@ type StaticBlocks struct{ n int }
 var (
 	_ gpu.Policy           = (*StaticBlocks)(nil)
 	_ gpu.FastForwardAware = (*StaticBlocks)(nil)
-	_ gpu.BatchAware       = (*StaticBlocks)(nil)
 )
 
 // NewStaticBlocks builds the policy; n is clamped per-kernel by the machine.
@@ -39,9 +38,6 @@ func (p *StaticBlocks) OnSMCycle(*gpu.Machine, clock.Time, int64) {}
 // NextActiveCycle implements gpu.FastForwardAware: the policy never acts.
 func (p *StaticBlocks) NextActiveCycle(int64) int64 { return math.MaxInt64 }
 
-// NextSampleCycle implements gpu.BatchAware: OnSMCycle is always a no-op.
-func (p *StaticBlocks) NextSampleCycle(int64) int64 { return math.MaxInt64 }
-
 // AccumulateSpan implements gpu.FastForwardAware: nothing to accumulate.
 func (p *StaticBlocks) AccumulateSpan(*gpu.Machine, int64, int64) {}
 
@@ -53,7 +49,6 @@ type Multi []gpu.Policy
 var (
 	_ gpu.Policy           = (Multi)(nil)
 	_ gpu.FastForwardAware = (Multi)(nil)
-	_ gpu.BatchAware       = (Multi)(nil)
 )
 
 // Name implements gpu.Policy.
@@ -107,23 +102,6 @@ func (m Multi) NextActiveCycle(smCycle int64) int64 {
 	return next
 }
 
-// NextSampleCycle implements gpu.BatchAware: the earliest member sample. A
-// member that is not batch aware may act on any cycle, so the fan-out
-// reports the very next cycle, disabling batching.
-func (m Multi) NextSampleCycle(smCycle int64) int64 {
-	next := int64(math.MaxInt64)
-	for _, p := range m {
-		b, ok := p.(gpu.BatchAware)
-		if !ok {
-			return smCycle + 1
-		}
-		if at := b.NextSampleCycle(smCycle); at < next {
-			next = at
-		}
-	}
-	return next
-}
-
 // AccumulateSpan implements gpu.FastForwardAware.
 func (m Multi) AccumulateSpan(machine *gpu.Machine, fromCycle, toCycle int64) {
 	for _, p := range m {
@@ -162,7 +140,6 @@ type EpochPoint struct {
 var (
 	_ gpu.Policy           = (*Monitor)(nil)
 	_ gpu.FastForwardAware = (*Monitor)(nil)
-	_ gpu.BatchAware       = (*Monitor)(nil)
 )
 
 // NewMonitor builds a monitor with the paper's sampling parameters.
@@ -211,7 +188,6 @@ func (p *Monitor) OnSMCycle(m *gpu.Machine, _ clock.Time, smCycle int64) {
 	p.accN++
 	if smCycle%int64(p.EpochCycles) == 0 {
 		n := float64(p.accN * m.NumSMs())
-		//eqlint:allow allocfree -- one series point per epoch, amortized over EpochCycles; the batch window is capped at the next sample cycle so no point is skipped
 		p.series = append(p.series, EpochPoint{
 			Epoch:   len(p.series) + 1,
 			Active:  float64(p.acc.Active) / n,
@@ -230,13 +206,6 @@ func (p *Monitor) OnSMCycle(m *gpu.Machine, _ clock.Time, smCycle int64) {
 func (p *Monitor) NextActiveCycle(smCycle int64) int64 {
 	ec := int64(p.EpochCycles)
 	return (smCycle/ec + 1) * ec
-}
-
-// NextSampleCycle implements gpu.BatchAware: OnSMCycle does nothing off the
-// SampleInterval grid.
-func (p *Monitor) NextSampleCycle(smCycle int64) int64 {
-	si := int64(p.SampleInterval)
-	return (smCycle/si + 1) * si
 }
 
 // AccumulateSpan implements gpu.FastForwardAware: add one sample per

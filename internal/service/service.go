@@ -36,10 +36,6 @@ type Config struct {
 	GridScale float64
 	// Parallelism is the simulation worker-pool width (0 = GOMAXPROCS).
 	Parallelism int
-	// SMShards is the intra-run SM worker count per machine (0 = auto:
-	// derived from the host so the shard workers never oversubscribe the
-	// Parallelism pool; a saturated pool means sequential machines).
-	SMShards int
 	// QueueDepth bounds how many run cells may wait for a worker beyond
 	// the ones in flight; an arriving request that would exceed it is shed
 	// with 429. 0 means 64; negative means no queueing (admit only up to
@@ -63,10 +59,8 @@ type Config struct {
 	// TuneMaxWorkers] and adjusts the admission limit from the live queue
 	// depth, occupancy, shed count and request-latency histogram. When
 	// set, Parallelism is ignored — the pool starts at TuneMinWorkers and
-	// the controller climbs from there — and intra-run SM sharding
-	// defaults to 1 (instead of host-derived) so a grown pool never
-	// oversubscribes the cores. The controller only changes scheduling,
-	// never simulation parameters: results stay byte-identical.
+	// the controller climbs from there. The controller only changes
+	// scheduling, never simulation parameters: results stay byte-identical.
 	Tune bool
 	// TuneInterval is the control epoch length (0 = 250ms).
 	TuneInterval time.Duration
@@ -147,7 +141,6 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	par := cfg.Parallelism
-	shards := cfg.SMShards
 	tcfg := tuner.Config{
 		Interval:   cfg.TuneInterval,
 		MinWorkers: cfg.TuneMinWorkers,
@@ -156,17 +149,12 @@ func New(cfg Config) (*Service, error) {
 	}.WithDefaults()
 	if cfg.Tune {
 		// The pool starts at the controller's floor and the controller
-		// climbs from there. Intra-run sharding defaults to sequential so
-		// the pool at its ceiling never oversubscribes the host.
+		// climbs from there.
 		par = tcfg.MinWorkers
-		if shards == 0 {
-			shards = 1
-		}
 	}
 	s.h = exp.New(exp.Options{
 		GridScale:   cfg.GridScale,
 		Parallelism: par,
-		SMShards:    shards,
 		Cache:       cache,
 		Registry:    s.reg,
 		Now:         func() int64 { return int64(time.Since(s.start)) },

@@ -250,16 +250,6 @@ type SM struct {
 	snap  Snapshot
 	stats Stats
 
-	// batchMemo* memoise the last batchBoundWalk. Every distance the walk
-	// measures shrinks by at most one per elapsed cycle (a warp consumes at
-	// most one stream entry per cycle), so bound-minus-elapsed-cycles stays
-	// a valid lower bound until a block launch or reset installs new
-	// streams. Warp removal (finishWarp) only raises the true minimum, so a
-	// stale memo stays conservative there.
-	batchMemoBound int64
-	batchMemoStamp uint64
-	batchMemoValid bool
-
 	residentBlocks int
 	activeBlocks   int
 	liveWarps      int
@@ -348,12 +338,6 @@ func (s *SM) SetIssueFilter(f IssueFilter) { s.filter = f }
 
 // SetL1Listener installs (or clears, with nil) an L1 activity observer.
 func (s *SM) SetL1Listener(l L1Listener) { s.listener = l }
-
-// Observed reports whether a policy hook (issue filter or L1 listener) is
-// installed. Hooked SMs may share policy state with their siblings — CCWS's
-// locality scoring does — so the machine's shard engine refuses to step them
-// concurrently and falls back to the sequential loop.
-func (s *SM) Observed() bool { return s.filter != nil || s.listener != nil }
 
 // SetProbe wires the SM (and its L1 cache) to a telemetry bus. The SM emits
 // warp-issue events, the per-cycle stall census, block launch/finish and
@@ -461,7 +445,6 @@ func (s *SM) LaunchBlock(prof *warp.Profile, globalID, wcta int) {
 	s.activeBlocks++
 	s.liveWarps += wcta
 	s.masksDirty = true
-	s.batchMemoValid = false // fresh streams invalidate the look-ahead memo
 	s.stats.BlocksLaunched++
 	s.probe.Emit(s.nowPS, telemetry.KindBlockLaunch, int16(s.index),
 		int64(globalID), int64(slot)<<16|int64(wcta))
@@ -917,7 +900,6 @@ func (s *SM) issue(now clock.Time, smPeriod clock.Time) {
 				bestALU = ws
 			}
 		case warp.MEM:
-			//eqlint:allow shardphase -- filter is this SM's own policy hook (see SetFilter); policies keep per-SM state only
 			if s.filter != nil && !s.filter(ws) {
 				// Policy-throttled warp: counts as waiting, not Xmem.
 				snap.Waiting++
@@ -1064,89 +1046,6 @@ func (s *SM) NextEventAt() (int64, bool) {
 	return next, true
 }
 
-// BatchBound returns a lower bound on how many upcoming cycles this SM can
-// run without touching the memory boundary or retiring a warp: for every k
-// up to the bound, cycles now+1 .. now+k issue no L1 probe, post no miss to
-// the outbox, and process no EXIT. (A MEM/TEX issue at exactly cycle
-// now+bound is allowed: the LSU/texture queues are empty here, so its L1
-// probe runs in cycle now+bound+1, after the window.) The machine's
-// idle-window batcher uses the minimum over all SMs as the window length it
-// may step without interleaving memory-domain cycles, block dispatch or the
-// done check.
-//
-// The bound is entry-counting: a warp consumes at most one stream entry per
-// cycle, so its next memory access is at least LookAhead-distance cycles
-// away and its EXIT at least remaining-entries+1 cycles away, whatever its
-// wait/wake/barrier schedule does in between. Paused warps are included
-// (conservative: unpausing mid-window cannot shorten the true distance
-// below the reported bound). Zero means "cannot batch this cycle".
-//
-//eqlint:hotpath
-func (s *SM) BatchBound() int64 {
-	// A populated LSU/texture queue probes the L1 next cycle, a full outbox
-	// is pending memory traffic, and an issue filter (CCWS) can reorder
-	// issue in ways the entry count does not model.
-	if len(s.lsu) > 0 || len(s.tex) > 0 || s.outboxFull || s.filter != nil {
-		return 0
-	}
-	// O(1) early-out: a ready warp holding a fetched MEM/TEX issues next
-	// cycle.
-	if s.fastIssue && !s.masksDirty {
-		ready := (s.validMask &^ s.pausedMask) &^ (s.barrierMask | s.pendingMask | s.gapMask)
-		if ready&(s.curMEMMask|s.curTEXMask) != 0 {
-			return 1
-		}
-	}
-	if s.batchMemoValid {
-		if est := s.batchMemoBound - int64(s.stats.Cycles-s.batchMemoStamp); est >= 2 {
-			return est
-		}
-	}
-	bound := s.batchBoundWalk()
-	s.batchMemoBound = bound
-	s.batchMemoStamp = s.stats.Cycles
-	s.batchMemoValid = true
-	return bound
-}
-
-// batchBoundWalk recomputes the batch bound from every resident warp's
-// stream look-ahead. An SM with no unfinished warps reports the NoMemAhead
-// sentinel (the machine caps the window elsewhere).
-func (s *SM) batchBoundWalk() int64 {
-	bound := int64(warp.NoMemAhead)
-	for i := range s.warps {
-		w := &s.warps[i]
-		if !w.valid || w.finished {
-			continue
-		}
-		dm, de := w.stream.LookAhead()
-		if w.hasCur {
-			switch w.cur.Kind {
-			case warp.EXIT:
-				return 0
-			case warp.MEM, warp.TEX:
-				// The fetched access can issue next cycle.
-				dm, de = 1, de+1
-			default:
-				// ALU/SFU/BAR: the fetched entry issues before the stream
-				// advances, pushing every look-ahead distance out by one.
-				dm, de = dm+1, de+1
-			}
-		}
-		wb := dm
-		if de < wb {
-			wb = de
-		}
-		if wb < bound {
-			bound = wb
-			if bound < 2 {
-				return bound
-			}
-		}
-	}
-	return bound
-}
-
 // FastForward retires n consecutive quiescent cycles in closed form. The
 // caller (the machine's fast-forward engine) guarantees NextEventAt reported
 // quiescent and that every boundary firstPS, firstPS+stridePS, ...,
@@ -1272,7 +1171,6 @@ func (s *SM) Reset(resetStats bool) {
 	s.wakeQueue.Reset()
 	s.gapQueue.Reset()
 	s.masksDirty = true
-	s.batchMemoValid = false
 	s.targetBlocks = s.cfg.MaxBlocksPerSM
 	s.rrALU, s.rrMEM = 0, 0
 	s.residentBlocks, s.activeBlocks, s.liveWarps = 0, 0, 0

@@ -195,19 +195,6 @@ type Bus struct {
 	head    int // next write index
 	count   int // valid events, <= len(buf)
 	dropped uint64
-
-	// Stage state (nil parent on ordinary buses). A stage forwards every
-	// Emit straight to its parent until Buffer() switches it to staging:
-	// staged events accumulate in emission order and Flush() replays them
-	// into the parent. The machine's shard engine gives each SM a stage so
-	// concurrently stepped SMs never touch the shared ring, then flushes the
-	// stages in SM index order at the phase barrier — reproducing the exact
-	// event interleaving of the sequential loop, ring wrap and drop
-	// accounting included.
-	parent    *Bus
-	buffering bool
-	staged    []Event
-	flushed   int // staged[:flushed] already replayed by FlushUpTo
 }
 
 // NewBus builds a bus holding up to capacity events of the masked kinds.
@@ -216,73 +203,6 @@ func NewBus(capacity int, mask Mask) *Bus {
 		capacity = 1
 	}
 	return &Bus{mask: mask, buf: make([]Event, capacity)}
-}
-
-// NewStage builds a stage for parent: a bus that records nothing itself but
-// either forwards events to parent immediately (the initial, pass-through
-// mode) or, between Buffer and Flush, holds them for ordered replay. A nil
-// parent yields a nil (permanently disabled) stage.
-func NewStage(parent *Bus) *Bus {
-	if parent == nil {
-		return nil
-	}
-	return &Bus{mask: parent.mask, parent: parent}
-}
-
-// Parent returns the bus a stage forwards to (nil for ordinary buses).
-func (b *Bus) Parent() *Bus {
-	if b == nil {
-		return nil
-	}
-	return b.parent
-}
-
-// Buffer switches a stage to staging mode: subsequent Emits accumulate
-// locally until Flush. No-op on a nil bus or an ordinary (parentless) bus.
-func (b *Bus) Buffer() {
-	if b == nil || b.parent == nil {
-		return
-	}
-	b.buffering = true
-}
-
-// Flush replays a stage's buffered events into its parent in emission order
-// and returns the stage to pass-through mode. The staged slice's capacity is
-// retained, so a stage flushed every cycle stops allocating once it has seen
-// its busiest cycle. No-op on a nil bus or an ordinary bus.
-func (b *Bus) Flush() {
-	if b == nil || b.parent == nil {
-		return
-	}
-	b.buffering = false
-	for i := b.flushed; i < len(b.staged); i++ {
-		e := &b.staged[i]
-		b.parent.Emit(e.TimePS, e.Kind, e.Src, e.A, e.B)
-	}
-	b.flushed = 0
-	b.staged = b.staged[:0]
-}
-
-// FlushUpTo replays the stage's buffered events whose timestamp is <= ps
-// into the parent, in emission order, leaving the stage in staging mode and
-// the remainder buffered. The shard engine uses it to merge a batched
-// window's per-SM stages cycle-major: within one stage, batched timestamps
-// are non-decreasing (each SM steps its window cycles in order), so draining
-// every stage up to successive cycle boundaries reproduces the sequential
-// loop's cycle-major, SM-minor interleaving. No-op on a nil bus or an
-// ordinary bus.
-func (b *Bus) FlushUpTo(ps int64) {
-	if b == nil || b.parent == nil {
-		return
-	}
-	for b.flushed < len(b.staged) {
-		e := &b.staged[b.flushed]
-		if e.TimePS > ps {
-			return
-		}
-		b.parent.Emit(e.TimePS, e.Kind, e.Src, e.A, e.B)
-		b.flushed++
-	}
 }
 
 // Enabled reports whether events of kind k would be recorded. Components
@@ -298,18 +218,6 @@ func (b *Bus) Enabled(k Kind) bool {
 //eqlint:emitpath
 func (b *Bus) Emit(timePS int64, k Kind, src int16, a, v int64) {
 	if b == nil || !b.mask.Has(k) {
-		return
-	}
-	if b.parent != nil {
-		if b.buffering {
-			// A staging append is unreachable on the disabled path (nil/mask
-			// returned above) and amortized: Flush retains the slice capacity,
-			// so a stage stops allocating after its busiest cycle.
-			//eqlint:allow probehygiene -- staging only runs enabled+buffering; capacity is retained across Flush
-			b.staged = append(b.staged, Event{TimePS: timePS, Kind: k, Src: src, A: a, B: v})
-			return
-		}
-		b.parent.Emit(timePS, k, src, a, v)
 		return
 	}
 	e := &b.buf[b.head]
@@ -374,7 +282,4 @@ func (b *Bus) Reset() {
 		return
 	}
 	b.head, b.count, b.dropped = 0, 0, 0
-	b.buffering = false
-	b.staged = b.staged[:0]
-	b.flushed = 0
 }

@@ -16,7 +16,6 @@ package warp
 
 import (
 	"fmt"
-	"math"
 
 	"equalizer/internal/cache"
 )
@@ -291,45 +290,6 @@ func (s *Stream) Next() Instr {
 		return Instr{Kind: SFU, Gap: int32(ph.SFUGap)}
 	}
 	return Instr{Kind: ALU, Gap: int32(ph.ALUGap)}
-}
-
-// NoMemAhead is LookAhead's distToMem when no memory access remains in the
-// stream. It is far below the int64 overflow boundary so callers can add
-// small offsets without checking.
-const NoMemAhead = math.MaxInt64 / 4
-
-// LookAhead reports, without advancing the stream, how far away its next
-// memory access and its exit are: distToMem is the number of Next calls up
-// to and including the first MEM or TEX instruction (NoMemAhead when none
-// remain), and distToExit is the number of non-EXIT instructions remaining.
-// An exhausted stream reports (NoMemAhead, 0). The walk mirrors Next's
-// decode order exactly — in particular a phase-ending BAR overrides the
-// memory slot at the same position.
-//
-// The SM's idle-window batch witness (SM.BatchBound) is built on these
-// distances: a warp consumes at most one stream entry per cycle, so the
-// earliest cycle its next memory access can issue is distToMem cycles away.
-func (s *Stream) LookAhead() (distToMem, distToExit int64) {
-	distToMem = NoMemAhead
-	if s.done || s.phase >= len(s.prof.Phases) {
-		return distToMem, 0
-	}
-	entries := int64(0)
-	local := s.pc - s.phaseStart
-	for pi := s.phase; pi < len(s.prof.Phases); pi++ {
-		ph := &s.prof.Phases[pi]
-		rem := int64(ph.Insts - local)
-		if distToMem == NoMemAhead && ph.MemEvery > 0 {
-			// First slot j >= local with j%MemEvery == MemEvery-1.
-			j := local + (ph.MemEvery - 1 - local%ph.MemEvery)
-			if j < ph.Insts && !(ph.Barrier && j == ph.Insts-1) {
-				distToMem = entries + int64(j-local) + 1
-			}
-		}
-		entries += rem
-		local = 0
-	}
-	return distToMem, entries
 }
 
 func (s *Stream) genAddr(ph *Phase, phaseIdx int) cache.Addr {

@@ -279,58 +279,6 @@ func TestQuickTermination(t *testing.T) {
 	}
 }
 
-// TestLookAheadMatchesWalk checks LookAhead against the ground truth at
-// every stream position: collect the full instruction sequence once, then
-// re-walk a fresh stream and verify the reported distances against the
-// recorded tail — including multi-phase profiles, texture phases, and the
-// BAR-overrides-MEM corner at a phase's last slot.
-func TestLookAheadMatchesWalk(t *testing.T) {
-	profiles := []*Profile{
-		simpleProfile(),
-		{LineBytes: 128, Phases: []Phase{{Insts: 9, ALUGap: 1}}}, // no mem at all
-		{LineBytes: 128, Phases: []Phase{
-			{Insts: 6, ALUGap: 1, SFUEvery: 3, Barrier: true},
-			{Insts: 8, MemEvery: 4, Pattern: Streaming},
-			{Insts: 5, MemEvery: 5, Pattern: Streaming, Barrier: true}, // BAR overrides the mem slot at Insts-1
-		}},
-		{LineBytes: 128, Phases: []Phase{
-			{Insts: 4, MemEvery: 1, Pattern: Streaming, Texture: true},
-			{Insts: 3, ALUGap: 2},
-		}},
-	}
-	for pi, p := range profiles {
-		var kinds []Kind
-		s := NewStream(p, 1)
-		for {
-			in := s.Next()
-			if in.Kind == EXIT {
-				break
-			}
-			kinds = append(kinds, in.Kind)
-		}
-		s = NewStream(p, 1)
-		for i := 0; i <= len(kinds); i++ {
-			wantMem := int64(NoMemAhead)
-			for j := i; j < len(kinds); j++ {
-				if kinds[j] == MEM || kinds[j] == TEX {
-					wantMem = int64(j - i + 1)
-					break
-				}
-			}
-			wantExit := int64(len(kinds) - i)
-			dm, de := s.LookAhead()
-			if dm != wantMem || de != wantExit {
-				t.Fatalf("profile %d pos %d: LookAhead = (%d, %d), want (%d, %d)", pi, i, dm, de, wantMem, wantExit)
-			}
-			s.Next()
-		}
-		// Exhausted stream.
-		if dm, de := s.LookAhead(); dm != NoMemAhead || de != 0 {
-			t.Fatalf("profile %d exhausted: LookAhead = (%d, %d), want (NoMemAhead, 0)", pi, dm, de)
-		}
-	}
-}
-
 func TestKindAndPatternStrings(t *testing.T) {
 	if ALU.String() != "alu" || MEM.String() != "mem" || BAR.String() != "bar" {
 		t.Fatal("kind strings wrong")
