@@ -121,7 +121,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(out)
-		fmt.Printf("[%s completed in %.1fs]\n\n", name, time.Since(start).Seconds())
+		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs]\n", name, time.Since(start).Seconds())
 	}
 	printStats(h)
 }
