@@ -63,7 +63,6 @@ func main() {
 		metricsAdr = flag.String("metrics-addr", "", "serve machine counters live over HTTP at this address during the run (forces a live simulation)")
 		asJSON     = flag.Bool("json", false, "emit the result as JSON ({kernel, policy, totals})")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		fastFwd    = flag.Bool("fastforward", true, "use the fast-path cycle engine (quiescent-cycle skip + bitset scheduling); false falls back to the legacy per-cycle loop")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
 	flag.Parse()
@@ -115,10 +114,8 @@ func main() {
 	// results, counter state); everything else routes through the exp harness
 	// so results are served from and stored to the shared disk cache.
 	// Config overrides also bypass the cache: its keys assume the default
-	// machine model. -fastforward=false does too: the escape hatch exists to
-	// re-run suspect results on the legacy engine, never to serve them from a
-	// cache populated by the fast path.
-	if !*verbose && *metrics == "" && *metricsAdr == "" && !*noCache && *set == "" && *fastFwd {
+	// machine model.
+	if !*verbose && *metrics == "" && *metricsAdr == "" && !*noCache && *set == "" {
 		cache, err := runcache.Open(*cacheDir)
 		if err != nil {
 			fatal(err)
@@ -136,7 +133,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		m.SetFastForward(*fastFwd)
 		if static {
 			m.SetLevelsImmediate(sl, ml)
 		}

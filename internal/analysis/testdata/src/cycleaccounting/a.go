@@ -64,11 +64,11 @@ func (d *domain) sameDomain() bool {
 	return d.smCycles < 100 // ok: one domain against a scalar
 }
 
-// fastForward is the bulk-advance shape the fast-path cycle engine uses: a
-// blessed owner may retire many cycles in one assignment.
+// bulkAdvance is the closed-form shape: a blessed owner may retire many
+// cycles in one assignment.
 //
 //eqlint:cycle-owner
-func (d *domain) fastForward(n int64) {
+func (d *domain) bulkAdvance(n int64) {
 	d.cycle += n // ok: bulk advance inside the blessed owner
 	d.smCycles += n
 }

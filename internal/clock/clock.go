@@ -126,36 +126,6 @@ func (d *Domain) Tick() Time {
 	return t
 }
 
-// SwitchPending returns the effective time of the in-flight VF transition,
-// and false when none is pending. Bulk advancement (TickN) must stop short of
-// this boundary so the transition is applied by an ordinary Tick.
-func (d *Domain) SwitchPending() (Time, bool) {
-	return d.switchAt, d.hasSwap
-}
-
-// TickN advances the domain by n cycles at once and returns the time of the
-// last completed cycle boundary — exactly what the n-th of n successive
-// Tick calls would return. It is only legal when no pending VF transition
-// falls inside the advanced span (the period, and hence every intermediate
-// boundary, is then constant, so residency accumulation is linear); callers
-// cap n using SwitchPending. It panics when the cap was violated.
-//
-//eqlint:cycle-owner
-func (d *Domain) TickN(n int64) Time {
-	if n <= 0 {
-		panic(fmt.Sprintf("clock: TickN(%d) on domain %s", n, d.name))
-	}
-	last := d.next + Time(n-1)*d.period()
-	if d.hasSwap && last >= d.switchAt {
-		panic(fmt.Sprintf("clock: TickN(%d) on domain %s crosses VF switch at %d (last boundary %d)",
-			n, d.name, d.switchAt, last))
-	}
-	d.accumulateResidency(last)
-	d.cycle += n
-	d.next = last + d.period()
-	return last
-}
-
 func (d *Domain) accumulateResidency(now Time) {
 	if now > d.lastUpdate {
 		d.residency[d.level] += now - d.lastUpdate

@@ -137,64 +137,6 @@ func TestQuickMonotonicUnderRandomDVFS(t *testing.T) {
 	}
 }
 
-// TestTickNMatchesRepeatedTick drives two identical domains — one by n
-// single Ticks, one by a single TickN(n) — through a level change and asserts
-// identical return value, cycle count, next boundary and residency.
-func TestTickNMatchesRepeatedTick(t *testing.T) {
-	for _, n := range []int64{1, 2, 7, 512, 4096} {
-		single := NewDomain("sm", 1000, 0.15)
-		bulk := NewDomain("sm", 1000, 0.15)
-		// Establish a non-normal level first so residency attribution at a
-		// non-default operating point is covered.
-		single.RequestLevel(config.VFHigh, 0)
-		bulk.RequestLevel(config.VFHigh, 0)
-		single.Tick()
-		bulk.Tick()
-
-		var lastSingle Time
-		for i := int64(0); i < n; i++ {
-			lastSingle = single.Tick()
-		}
-		lastBulk := bulk.TickN(n)
-
-		if lastSingle != lastBulk {
-			t.Fatalf("n=%d: TickN returned %d, %d Ticks returned %d", n, lastBulk, n, lastSingle)
-		}
-		if single.Cycle() != bulk.Cycle() {
-			t.Fatalf("n=%d: cycle %d vs %d", n, bulk.Cycle(), single.Cycle())
-		}
-		if single.Next() != bulk.Next() {
-			t.Fatalf("n=%d: next %d vs %d", n, bulk.Next(), single.Next())
-		}
-		sl, sn, sh := single.Residency()
-		bl, bn, bh := bulk.Residency()
-		if sl != bl || sn != bn || sh != bh {
-			t.Fatalf("n=%d: residency (%d,%d,%d) vs (%d,%d,%d)", n, bl, bn, bh, sl, sn, sh)
-		}
-	}
-}
-
-// TestTickNRefusesToCrossSwitch pins the legality contract: a bulk advance
-// whose last boundary reaches a pending VF transition must panic — the
-// caller is required to cap n via SwitchPending.
-func TestTickNRefusesToCrossSwitch(t *testing.T) {
-	d := NewDomain("sm", 1000, 0.15)
-	d.RequestLevel(config.VFHigh, 5000)
-	if at, ok := d.SwitchPending(); !ok || at != 5000 {
-		t.Fatalf("SwitchPending = (%d,%v), want (5000,true)", at, ok)
-	}
-	// Boundaries 0..4000 are fine; boundary 5000 applies the swap.
-	if last := d.TickN(5); last != 4000 {
-		t.Fatalf("TickN(5) = %d, want 4000", last)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TickN across a pending switch did not panic")
-		}
-	}()
-	d.TickN(1) // boundary 5000: must panic
-}
-
 func TestCyclesToTime(t *testing.T) {
 	d := NewDomain("sm", 1000, 0.15)
 	if got := d.CyclesToTime(512); got != 512*1000 {

@@ -265,10 +265,7 @@ type Equalizer struct {
 	epoch  int
 }
 
-var (
-	_ gpu.Policy           = (*Equalizer)(nil)
-	_ gpu.FastForwardAware = (*Equalizer)(nil)
-)
+var _ gpu.Policy = (*Equalizer)(nil)
 
 // New builds an Equalizer policy in the given mode with the paper's default
 // runtime parameters.
@@ -307,28 +304,22 @@ func (e *Equalizer) TraceSM(i int) []TracePoint {
 // TracedSMs returns the number of SMs with recorded traces.
 func (e *Equalizer) TracedSMs() int { return len(e.traces) }
 
-// Reset implements gpu.Policy.
+// Reset implements gpu.Policy. Each SM's W_cta threshold comes from the
+// kernel the machine placed on it: equal to k.Wcta on a single-kernel launch,
+// and per partition when several kernels run side by side — the per-SM
+// decision making the paper motivates in Section I.
 //
 //eqlint:cycle-owner
-func (e *Equalizer) Reset(m *gpu.Machine, k kernels.Kernel) {
+func (e *Equalizer) Reset(m *gpu.Machine, _ kernels.Kernel) {
 	n := m.NumSMs()
 	e.wcta = make([]int, n)
 	for i := range e.wcta {
-		e.wcta[i] = k.Wcta
+		e.wcta[i] = m.WctaFor(i)
 	}
 	e.accum = make([]smAccum, n)
 	e.votes = make([]Vote, n)
 	e.traces = make([][]TracePoint, n)
 	e.epoch = 0
-}
-
-// ResetConcurrent implements gpu.ConcurrentAware: with several kernels on
-// disjoint SM partitions, each SM's W_cta threshold comes from its own
-// kernel — the per-SM decision making the paper motivates in Section I.
-func (e *Equalizer) ResetConcurrent(m *gpu.Machine, tasks []gpu.Task) {
-	for i := range e.wcta {
-		e.wcta[i] = m.WctaFor(i)
-	}
 }
 
 // OnSMCycle implements gpu.Policy: sample every SampleInterval cycles,
@@ -353,43 +344,6 @@ func (e *Equalizer) OnSMCycle(m *gpu.Machine, now clock.Time, smCycle int64) {
 	}
 	e.epoch++
 	e.decideEpoch(m, int64(now))
-}
-
-// NextActiveCycle implements gpu.FastForwardAware: between epoch boundaries
-// OnSMCycle only samples the (constant, during a quiescent span) census into
-// per-SM accumulators, which AccumulateSpan replays arithmetically. The
-// decision at each EpochCycles multiple retunes the machine and must run for
-// real.
-func (e *Equalizer) NextActiveCycle(smCycle int64) int64 {
-	ec := int64(e.cfg.EpochCycles)
-	return (smCycle/ec + 1) * ec
-}
-
-// AccumulateSpan implements gpu.FastForwardAware: add one sample per
-// SampleInterval multiple in [fromCycle, toCycle], each an exact copy of the
-// current census snapshot — precisely what OnSMCycle would have accumulated
-// cycle by cycle over a quiescent span.
-func (e *Equalizer) AccumulateSpan(m *gpu.Machine, fromCycle, toCycle int64) {
-	if invariant.Enabled {
-		ec := int64(e.cfg.EpochCycles)
-		invariant.Checkf(toCycle/ec == (fromCycle-1)/ec,
-			"equalizer: fast-forward span [%d, %d] crosses an epoch boundary",
-			fromCycle, toCycle)
-	}
-	si := int64(e.cfg.SampleInterval)
-	k := toCycle/si - (fromCycle-1)/si
-	if k == 0 {
-		return
-	}
-	for i := range e.accum {
-		snap := m.SM(i).Snapshot()
-		a := &e.accum[i]
-		a.active += k * int64(snap.Active)
-		a.waiting += k * int64(snap.Waiting)
-		a.xalu += k * int64(snap.XALU)
-		a.xmem += k * int64(snap.XMEM)
-		a.samples += int(k)
-	}
 }
 
 func (e *Equalizer) decideEpoch(m *gpu.Machine, nowPS int64) {

@@ -187,22 +187,6 @@ func (b *Banked) BankedStats() BankedStats { return b.stats }
 // ResetStats clears statistics without disturbing queue contents.
 func (b *Banked) ResetStats() { b.stats = BankedStats{} }
 
-// SkipIdle advances the controller's statistics over n consecutive idle
-// cycles first..first+n-1 in closed form; see Controller.SkipIdle. The busy
-// window of the banked model is simply t < nextStart.
-//
-//eqlint:cycle-owner
-func (b *Banked) SkipIdle(first, n int64) {
-	b.stats.StepCycles += uint64(n)
-	if b.nextStart > first {
-		busy := b.nextStart - first
-		if busy > n {
-			busy = n
-		}
-		b.stats.BusyCycles += uint64(busy)
-	}
-}
-
 // Step advances the controller to memory cycle now and returns completed
 // lines. FR-FCFS: the scheduler scans banks round-robin and, within the
 // chosen bank, services the oldest row-buffer hit if one exists, else the

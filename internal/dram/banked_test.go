@@ -178,33 +178,3 @@ func TestBankedUtilizationUnderStreaming(t *testing.T) {
 		t.Fatalf("streaming row hit rate = %.2f, want high", hr)
 	}
 }
-
-// TestBankedSkipIdleMatchesIdleSteps is TestSkipIdleMatchesIdleSteps for the
-// banked FR-FCFS model.
-func TestBankedSkipIdleMatchesIdleSteps(t *testing.T) {
-	cfg := DefaultBanked()
-	cfg.Latency = 0 // the tightest case: completion and busy tail coincide
-	step := MustNewBanked(cfg)
-	skip := MustNewBanked(cfg)
-	for i := 0; i < 9; i++ {
-		step.Enqueue(cache.Addr(i * 4096))
-		skip.Enqueue(cache.Addr(i * 4096))
-	}
-	now := int64(0)
-	for !step.Drained() || !skip.Drained() {
-		step.Step(now)
-		skip.Step(now)
-		now++
-		if now > 100_000 {
-			t.Fatal("controllers never drained")
-		}
-	}
-	const n = 777
-	for i := int64(0); i < n; i++ {
-		step.Step(now + i)
-	}
-	skip.SkipIdle(now, n)
-	if step.Stats() != skip.Stats() {
-		t.Fatalf("stepped stats %+v, skipped stats %+v", step.Stats(), skip.Stats())
-	}
-}

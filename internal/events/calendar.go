@@ -34,11 +34,6 @@ type Calendar[T any] struct {
 	// wheelN counts entries resident in the wheel (excludes overflow).
 	wheelN   int
 	overflow Queue[T]
-
-	// nextWheelAt caches the earliest wheel timestamp; invalidated by
-	// deliveries and recomputed lazily so NextAt is O(1) between pops.
-	nextWheelAt    int64
-	nextWheelValid bool
 }
 
 type calEntry[T any] struct {
@@ -93,47 +88,6 @@ func (c *Calendar[T]) Push(at int64, v T) {
 	idx := b & c.mask
 	c.buckets[idx] = append(c.buckets[idx], calEntry[T]{at: at, val: v})
 	c.wheelN++
-	if c.nextWheelValid && at < c.nextWheelAt {
-		c.nextWheelAt = at
-	} else if !c.nextWheelValid && c.wheelN == 1 {
-		c.nextWheelAt, c.nextWheelValid = at, true
-	}
-}
-
-// NextAt returns the earliest pending timestamp, and false when empty.
-func (c *Calendar[T]) NextAt() (int64, bool) {
-	min, ok := c.wheelNextAt()
-	if oAt, oOK := c.overflow.NextAt(); oOK && (!ok || oAt < min) {
-		min, ok = oAt, true
-	}
-	return min, ok
-}
-
-func (c *Calendar[T]) wheelNextAt() (int64, bool) {
-	if c.wheelN == 0 {
-		return 0, false
-	}
-	if c.nextWheelValid {
-		return c.nextWheelAt, true
-	}
-	found := false
-	var min int64
-	for off := int64(0); off < int64(len(c.buckets)); off++ {
-		bucket := c.buckets[(c.cur+off)&c.mask]
-		if len(bucket) == 0 {
-			continue
-		}
-		for i := range bucket {
-			if !found || bucket[i].at < min {
-				min, found = bucket[i].at, true
-			}
-		}
-		break
-	}
-	if found {
-		c.nextWheelAt, c.nextWheelValid = min, true
-	}
-	return min, found
 }
 
 // PopReady delivers every event with timestamp <= now to f: whole past
@@ -158,7 +112,6 @@ func (c *Calendar[T]) PopReady(now int64, f func(T)) {
 				continue
 			}
 			c.wheelN -= len(bucket)
-			c.nextWheelValid = false
 			c.buckets[idx] = bucket[:0]
 			for i := range bucket {
 				f(bucket[i].val)
@@ -176,7 +129,6 @@ func (c *Calendar[T]) PopReady(now int64, f func(T)) {
 		for i := range bucket {
 			if bucket[i].at <= now {
 				c.wheelN--
-				c.nextWheelValid = false
 				f(bucket[i].val)
 			} else {
 				kept = append(kept, bucket[i])
@@ -202,6 +154,5 @@ func (c *Calendar[T]) Reset() {
 	c.base = -1
 	c.cur = 0
 	c.wheelN = 0
-	c.nextWheelValid = false
 	c.overflow.Reset()
 }

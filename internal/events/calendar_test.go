@@ -47,7 +47,7 @@ func equalSets(a, b []int) bool {
 
 // TestCalendarMatchesQueue drives a Calendar and a Queue with identical
 // adversarial push/pop schedules and asserts the delivered multiset of every
-// PopReady call, plus Len and NextAt, always agree.
+// PopReady call, plus Len, always agree.
 func TestCalendarMatchesQueue(t *testing.T) {
 	patterns := []struct {
 		name string
@@ -83,8 +83,7 @@ func TestCalendarMatchesQueue(t *testing.T) {
 			step(3_000_000)
 		}},
 		{"cursor-jump", func(t *testing.T, push func(int64, int), step func(int64)) {
-			// A huge now-jump (machine fast-forward) wrapping the wheel
-			// several times over.
+			// A huge now-jump wrapping the wheel several times over.
 			for i := 0; i < 50; i++ {
 				push(int64(1000+i*700), i)
 			}
@@ -134,12 +133,6 @@ func TestCalendarMatchesQueue(t *testing.T) {
 				if cal.Len() != q.Len() {
 					t.Fatalf("after PopReady(%d): calendar Len %d, queue Len %d", now, cal.Len(), q.Len())
 				}
-				cAt, cOK := cal.NextAt()
-				qAt, qOK := q.NextAt()
-				if cOK != qOK || (cOK && cAt != qAt) {
-					t.Fatalf("after PopReady(%d): calendar NextAt (%d,%v), queue (%d,%v)",
-						now, cAt, cOK, qAt, qOK)
-				}
 			}
 			pat.run(t, push, step)
 			if cal.Len() != 0 || q.Len() != 0 {
@@ -163,9 +156,6 @@ func TestCalendarReset(t *testing.T) {
 	cal.Reset()
 	if cal.Len() != 0 {
 		t.Fatalf("Len after Reset = %d, want 0", cal.Len())
-	}
-	if _, ok := cal.NextAt(); ok {
-		t.Fatal("NextAt reports an entry after Reset")
 	}
 	// The cursor must be rewound: early timestamps work again.
 	cal.Push(100, 3)

@@ -91,7 +91,6 @@ type Harness struct {
 	sweepCutoffs                                   *telemetry.Counter
 	canceled                                       *telemetry.Counter
 	stageDedup, stageCache, stageSim               *telemetry.Histogram
-	engineStepped, engineFastForward               *telemetry.Counter
 }
 
 // memoEntry is one singleflight cell: the first requester for a key becomes
@@ -146,9 +145,6 @@ func New(opts Options) *Harness {
 	h.cacheErrs = reg.Counter("exp_cache_errors_total", "corrupt or unwritable cache entries", nil)
 	h.sweepCutoffs = reg.Counter("exp_sweep_cutoffs_total", "block sweeps stopped early by monotone-tail detection", nil)
 	h.canceled = reg.Counter("exp_runs_canceled_total", "runs abandoned by context cancellation before completing", nil)
-	const engineHelp = "SM-domain machine cycles simulated, by engine path"
-	h.engineStepped = reg.Counter("gpu_engine_cycles_total", engineHelp, telemetry.Labels{"mode": "stepped"})
-	h.engineFastForward = reg.Counter("gpu_engine_cycles_total", engineHelp, telemetry.Labels{"mode": "fast_forward"})
 	h.now = opts.Now
 	if h.now != nil {
 		bounds := []float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30}
@@ -497,11 +493,6 @@ func (h *Harness) simulate(ctx context.Context, k kernels.Kernel, s Setup) (Tota
 	if err != nil {
 		return Totals{}, err
 	}
-	defer func() {
-		stepped, fastForward, _ := m.EngineCycles()
-		h.engineStepped.Add(stepped)
-		h.engineFastForward.Add(fastForward)
-	}()
 	m.SetLevelsImmediate(s.SM, s.Mem)
 	var t Totals
 	var l1Weighted, dramWeighted float64

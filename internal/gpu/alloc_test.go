@@ -1,9 +1,10 @@
-package gpu
+package gpu_test
 
 import (
 	"testing"
 
 	"equalizer/internal/config"
+	"equalizer/internal/gpu"
 	"equalizer/internal/invariant"
 	"equalizer/internal/kernels"
 	"equalizer/internal/power"
@@ -22,19 +23,19 @@ const allocBudgetPerRun = 64
 // spirit of telemetry's TestDisabledEmitIsAllocationFree: before the waiter
 // pools and the hoisted drain callbacks, a run this size allocated ~5x the
 // budget, dominated by per-miss outbox pointers and waiter-slice appends.
-// Both cycle engines are pinned: the fast path's bitset masks, calendar
-// queues and bulk advance must stay allocation-free per cycle, and the
-// legacy escape hatch must not regress either.
+// Both issue paths are pinned: the bitset masks and calendar queues must stay
+// allocation-free per cycle, and so must the linear scan (the "legacy" row),
+// which issues whenever a filter is installed or the warp budget exceeds 64.
 func TestSteadyStateRunAllocations(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("eqdebug invariant checks box Checkf arguments; the allocation budget pins release builds")
 	}
 	for _, tc := range []struct {
-		name        string
-		fastForward bool
+		name string
+		scan bool
 	}{
-		{"fast", true},
-		{"legacy", false},
+		{"fast", false},
+		{"legacy", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k, err := kernels.ByName("cutcp")
@@ -42,8 +43,10 @@ func TestSteadyStateRunAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			k.GridBlocks = 30
-			m := MustNew(config.Default(), power.Default(), nil)
-			m.SetFastForward(tc.fastForward)
+			m := gpu.MustNew(config.Default(), power.Default(), nil)
+			if tc.scan {
+				useScan(m)
+			}
 			// Warm up: first run grows the pools, wake queues and stat buffers.
 			if _, err := m.RunKernel(k, 0); err != nil {
 				t.Fatal(err)

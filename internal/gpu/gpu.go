@@ -9,7 +9,6 @@ package gpu
 
 import (
 	"fmt"
-	"math"
 
 	"equalizer/internal/cache"
 	"equalizer/internal/clock"
@@ -31,30 +30,9 @@ type memController interface {
 	CanAccept() bool
 	Enqueue(line cache.Addr) bool
 	Step(now int64) []cache.Addr
-	// SkipIdle advances statistics over n idle cycles first..first+n-1 in
-	// closed form; callers guarantee Drained.
-	SkipIdle(first, n int64)
 	Drained() bool
 	Stats() dram.Stats
 	SetProbe(b *telemetry.Bus, now func() int64)
-}
-
-// FastForwardAware is the policy extension the fast-forward cycle engine
-// needs: a policy that implements it declares which OnSMCycle calls are pure
-// accumulation (and can be replayed arithmetically over a quiescent span) and
-// which mutate the machine (and force a real cycle). Policies without it
-// disable fast-forwarding entirely.
-type FastForwardAware interface {
-	// NextActiveCycle returns the smallest cycle index c > smCycle at which
-	// OnSMCycle does more than accumulate constant observations — e.g. an
-	// epoch boundary that retunes the machine. Cycles in (smCycle, c) may be
-	// fast-forwarded; cycle c always runs for real.
-	NextActiveCycle(smCycle int64) int64
-	// AccumulateSpan replays the accumulation OnSMCycle would have performed
-	// over the fast-forwarded cycles fromCycle..toCycle inclusive. The
-	// machine's observable state (census snapshots in particular) is already
-	// at its constant span value when this is called.
-	AccumulateSpan(m *Machine, fromCycle, toCycle int64)
 }
 
 // newMemController selects the DRAM model from the configuration.
@@ -150,16 +128,6 @@ type Machine struct {
 
 	policy Policy
 
-	// fastForward enables the quiescent-cycle bulk engine (and the SMs'
-	// bitset schedulers); the -fastforward=false escape hatch restores the
-	// strictly per-cycle legacy loop.
-	fastForward bool
-	// Engine path counters (see EngineCycles), advanced only at the loop's
-	// cycle-owner sites.
-	steppedCycles        uint64
-	fastForwardCycles    uint64
-	memIdleSkippedCycles uint64
-
 	// Kernel launch state: one partition per concurrently running kernel
 	// (a single partition spanning every SM in the common case).
 	parts []partition
@@ -206,7 +174,6 @@ func New(cfg config.GPU, pcfg power.Config, policy Policy) (*Machine, error) {
 		l2Waiters:    make(map[cache.Addr][]icnt.Request),
 		meter:        power.NewMeter(pcfg),
 		policy:       policy,
-		fastForward:  true,
 		lastSMLevel:  config.VFNormal,
 		lastMemLevel: config.VFNormal,
 	}
@@ -254,30 +221,6 @@ func (m *Machine) AttachTelemetry(b *telemetry.Bus) {
 // Bus returns the attached telemetry bus (nil when detached). Policies use
 // it to emit their own events; Emit on a nil bus is a no-op.
 func (m *Machine) Bus() *telemetry.Bus { return m.bus }
-
-// SetFastForward enables or disables the fast-path cycle engine: the
-// quiescent-cycle bulk advance and, on every SM, the bitset issue path. Both
-// are byte-identical to the legacy loop at every observable point; the
-// escape hatch exists for debugging and differential testing. Call between
-// runs, not mid-invocation.
-func (m *Machine) SetFastForward(enabled bool) {
-	m.fastForward = enabled
-	for _, s := range m.sms {
-		s.SetFastIssue(enabled)
-	}
-}
-
-// FastForwardEnabled reports whether the fast-path engine is active.
-func (m *Machine) FastForwardEnabled() bool { return m.fastForward }
-
-// EngineCycles returns the engine path counters accumulated over the
-// machine's lifetime, in machine cycles: SM-domain cycles stepped through
-// the full loop body, SM-domain cycles fast-forwarded in bulk, and idle
-// memory-domain cycles skipped in bulk. stepped + fastForward equals the
-// sum of Result.SMCycles over every run.
-func (m *Machine) EngineCycles() (stepped, fastForward, memIdleSkipped uint64) {
-	return m.steppedCycles, m.fastForwardCycles, m.memIdleSkippedCycles
-}
 
 // Config returns the hardware configuration.
 func (m *Machine) Config() config.GPU { return m.cfg }
@@ -423,13 +366,6 @@ type Task struct {
 	Invocation int
 }
 
-// ConcurrentAware is an optional policy extension: policies that need the
-// per-partition kernel layout (Equalizer's per-SM W_cta thresholds)
-// implement it in addition to the plain Reset.
-type ConcurrentAware interface {
-	ResetConcurrent(m *Machine, tasks []Task)
-}
-
 // RunKernel simulates one invocation of k and returns its result. Machine
 // state (cache contents aside from L1, VF levels) carries across calls, so
 // consecutive invocations model a real launch sequence. An error is returned
@@ -531,9 +467,6 @@ func (m *Machine) launch(tasks []Task) (runStart, error) {
 
 	if m.policy != nil {
 		m.policy.Reset(m, m.parts[0].kernel)
-		if ca, ok := m.policy.(ConcurrentAware); ok && len(tasks) > 1 {
-			ca.ResetConcurrent(m, tasks)
-		}
 	}
 
 	startPS := int64(m.smDomain.Next())
@@ -561,34 +494,12 @@ func (m *Machine) launch(tasks []Task) (runStart, error) {
 //
 //eqlint:cycle-owner
 func (m *Machine) loop() error {
-	// Fast-forwarding needs the policy's cooperation: a policy that does not
-	// implement FastForwardAware may mutate the machine on any cycle, so
-	// every cycle must run. A nil policy constrains nothing.
-	var aware FastForwardAware
-	canFF := m.fastForward
-	if m.policy != nil {
-		if a, ok := m.policy.(FastForwardAware); ok {
-			aware = a
-		} else {
-			canFF = false
-		}
-	}
-
 	var smCycle int64
 	for {
-		smNext, memNext := m.smDomain.Next(), m.memDomain.Next()
-		if smNext <= memNext {
-			if canFF {
-				if n := m.fastForwardSpan(smNext, memNext, smCycle, aware); n >= 2 {
-					m.applyFastForward(n, int64(smNext), smCycle, aware)
-					smCycle += n
-					continue
-				}
-			}
+		if m.smDomain.Next() <= m.memDomain.Next() {
 			now := m.smDomain.Tick()
 			m.afterSMLevelChange(now)
 			smCycle++
-			m.steppedCycles++
 			period := m.smDomain.CyclesToTime(1)
 			active := 0
 			for _, s := range m.sms {
@@ -613,17 +524,6 @@ func (m *Machine) loop() error {
 				return nil
 			}
 		} else {
-			if canFF && m.memIdle() {
-				if k := m.memIdleSpan(memNext, smNext); k >= 2 {
-					last := m.memDomain.TickN(k)
-					m.lastMemNowPS = int64(last)
-					m.dram.SkipIdle(m.memCycle+1, k)
-					m.memCycle += k
-					m.memIdleSkippedCycles += uint64(k)
-					m.hitDelayPS = int64(last) + int64(m.memDomain.CyclesToTime(m.cfg.L2HitLatency))
-					continue
-				}
-			}
 			now := m.memDomain.Tick()
 			m.afterMemLevelChange(now)
 			m.memCycle++
@@ -698,188 +598,6 @@ func (m *Machine) invocationLabel() string {
 		label += fmt.Sprintf("%s invocation %d", m.parts[p].kernel.Name, m.parts[p].inv)
 	}
 	return label
-}
-
-// memIdle reports whether the memory partition can do no work at all: DRAM
-// and interconnect drained, no delayed L2 replies, and no SM outbox waiting
-// to enter the network. An idle memory cycle only advances cycle statistics,
-// so it commutes with quiescent SM cycles and can be retired in bulk.
-//
-//eqlint:hotpath
-func (m *Machine) memIdle() bool {
-	if !m.dram.Drained() || !m.net.Drained() || m.l2Replies.Len() != 0 {
-		return false
-	}
-	for _, s := range m.sms {
-		if s.OutboxFull() {
-			return false
-		}
-	}
-	return true
-}
-
-// doneWouldChange reports whether calling done now would have an effect —
-// stamping a partition's finish time or ending the run. While false, done is
-// a pure no-op returning false, so fast-forwarded cycles may skip it; the
-// machine state it reads cannot change during a quiescent span.
-func (m *Machine) doneWouldChange() bool {
-	allDone := true
-	for p := range m.parts {
-		pt := &m.parts[p]
-		if pt.finishPS != 0 {
-			continue
-		}
-		allDone = false
-		if pt.nextBlock < pt.totalBlocks {
-			continue
-		}
-		idle := true
-		for i := pt.smLo; i < pt.smHi; i++ {
-			if !m.sms[i].Idle() {
-				idle = false
-				break
-			}
-		}
-		if idle {
-			return true // done() would stamp this partition
-		}
-	}
-	// With every partition stamped, done() turns on the memory drains, which
-	// a skipped span cannot be allowed to decide.
-	return allDone
-}
-
-// fastForwardSpan returns how many consecutive SM cycles starting at boundary
-// smNext are pure bookkeeping — quiescent on every SM, no dispatch, no done
-// transition, no policy action, no VF switch, and not overtaking an active
-// memory domain — or 0 when the next cycle must run for real. smCycle is the
-// index of the last completed SM cycle.
-//
-//eqlint:hotpath
-func (m *Machine) fastForwardSpan(smNext, memNext clock.Time, smCycle int64, aware FastForwardAware) int64 {
-	// Every SM must be quiescent; w is the earliest state-changing event.
-	w := int64(math.MaxInt64)
-	for _, s := range m.sms {
-		at, ok := s.NextEventAt()
-		if !ok {
-			return 0
-		}
-		if at < w {
-			w = at
-		}
-	}
-	if w <= int64(smNext) {
-		return 0
-	}
-	// The dispatcher must be a no-op: a partition with blocks left and a
-	// willing SM launches work on every cycle.
-	for p := range m.parts {
-		pt := &m.parts[p]
-		if pt.nextBlock >= pt.totalBlocks {
-			continue
-		}
-		for i := pt.smLo; i < pt.smHi; i++ {
-			if m.sms[i].WantsBlock(pt.wcta) {
-				return 0
-			}
-		}
-	}
-	if m.doneWouldChange() {
-		return 0
-	}
-
-	period := int64(m.smDomain.CyclesToTime(1))
-	// Skipped boundaries are smNext, smNext+period, ...; all must precede the
-	// first SM event strictly (the event's cycle runs for real).
-	n := (w-1-int64(smNext))/period + 1
-	// An active memory domain caps the span at its next boundary: ties run
-	// the SM side first, so the last skipped boundary may equal memNext. An
-	// idle memory domain imposes no cap — its cycles are pure bookkeeping and
-	// the memory branch retires them in bulk afterwards.
-	if !m.memIdle() {
-		if lim := (int64(memNext)-int64(smNext))/period + 1; lim < n {
-			n = lim
-		}
-	}
-	// Never tick across a pending VF switch; the boundary that applies it
-	// (and the power-accounting flush) runs for real.
-	if at, pending := m.smDomain.SwitchPending(); pending {
-		if int64(at) <= int64(smNext) {
-			return 0
-		}
-		if lim := (int64(at)-1-int64(smNext))/period + 1; lim < n {
-			n = lim
-		}
-	}
-	// The policy's next non-accumulate cycle and the invocation backstop cap
-	// the span in cycle space.
-	if aware != nil {
-		if lim := aware.NextActiveCycle(smCycle) - 1 - smCycle; lim < n {
-			n = lim
-		}
-	}
-	if lim := maxInvocationCycles - smCycle; lim < n {
-		n = lim
-	}
-	return n
-}
-
-// applyFastForward retires n quiescent SM cycles in closed form: clock and
-// census counters, power-attribution time, telemetry and the policy's sample
-// accumulation all land exactly where n iterations of the per-cycle loop
-// would leave them. smCycle is the index of the last completed cycle; the
-// span covers smCycle+1 .. smCycle+n.
-//
-//eqlint:cycle-owner
-//eqlint:hotpath
-func (m *Machine) applyFastForward(n int64, firstPS, smCycle int64, aware FastForwardAware) {
-	period := int64(m.smDomain.CyclesToTime(1))
-	m.smDomain.TickN(n)
-	m.fastForwardCycles += uint64(n)
-	active := 0
-	for _, s := range m.sms {
-		s.FastForward(n, firstPS, period)
-		if s.ResidentBlocks() > 0 {
-			active++
-		}
-	}
-	m.activeSMTimePS += period * int64(active) * n
-	if m.bus.Enabled(telemetry.KindStallCensus) {
-		// One event per SM per skipped cycle, cycles outermost: the exact
-		// interleaving the legacy loop produces when every SM emits its
-		// census each cycle in SM order.
-		for j := int64(0); j < n; j++ {
-			ps := firstPS + j*period
-			for _, s := range m.sms {
-				s.EmitCensus(ps)
-			}
-		}
-	}
-	if aware != nil {
-		aware.AccumulateSpan(m, smCycle+1, smCycle+n)
-	}
-	if invariant.Enabled && (smCycle+n)/machineCheckInterval != smCycle/machineCheckInterval {
-		m.verifyInvariants()
-	}
-}
-
-// memIdleSpan returns how many idle memory cycles starting at boundary
-// memNext fit strictly before the SM domain's next boundary and any pending
-// VF switch. The caller has established memIdle.
-//
-//eqlint:hotpath
-func (m *Machine) memIdleSpan(memNext, smNext clock.Time) int64 {
-	period := int64(m.memDomain.CyclesToTime(1))
-	k := (int64(smNext)-1-int64(memNext))/period + 1
-	if at, pending := m.memDomain.SwitchPending(); pending {
-		if int64(at) <= int64(memNext) {
-			return 0
-		}
-		if lim := (int64(at)-1-int64(memNext))/period + 1; lim < k {
-			k = lim
-		}
-	}
-	return k
 }
 
 // verifyInvariants asserts machine-wide conservation laws. Only compiled

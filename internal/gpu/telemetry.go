@@ -121,14 +121,6 @@ func (m *Machine) Collect(reg *telemetry.Registry) {
 			telemetry.Labels{"domain": "mem", "level": name}).Set(uint64(res.Mem[i]))
 	}
 
-	const engineHelp = "SM-domain machine cycles by engine path: stepped through the full loop body or retired in bulk as a quiescent span"
-	reg.Counter("eq_engine_cycles_total", engineHelp,
-		telemetry.Labels{"mode": "stepped"}).Set(m.steppedCycles)
-	reg.Counter("eq_engine_cycles_total", engineHelp,
-		telemetry.Labels{"mode": "fast_forward"}).Set(m.fastForwardCycles)
-	reg.Counter("eq_engine_mem_idle_skipped_cycles_total", "memory-domain machine cycles retired in bulk while the memory partition was idle",
-		nil).Set(m.memIdleSkippedCycles)
-
 	if m.bus != nil {
 		reg.Counter("eq_probe_events_total", "events retained on the probe bus",
 			nil).Set(uint64(m.bus.Len()))

@@ -6,8 +6,6 @@
 package policy
 
 import (
-	"math"
-
 	"equalizer/internal/clock"
 	"equalizer/internal/gpu"
 	"equalizer/internal/kernels"
@@ -16,10 +14,7 @@ import (
 // StaticBlocks pins every SM's resident-block ceiling to a constant.
 type StaticBlocks struct{ n int }
 
-var (
-	_ gpu.Policy           = (*StaticBlocks)(nil)
-	_ gpu.FastForwardAware = (*StaticBlocks)(nil)
-)
+var _ gpu.Policy = (*StaticBlocks)(nil)
 
 // NewStaticBlocks builds the policy; n is clamped per-kernel by the machine.
 func NewStaticBlocks(n int) *StaticBlocks { return &StaticBlocks{n: n} }
@@ -35,21 +30,12 @@ func (p *StaticBlocks) Reset(m *gpu.Machine, _ kernels.Kernel) {
 // OnSMCycle implements gpu.Policy.
 func (p *StaticBlocks) OnSMCycle(*gpu.Machine, clock.Time, int64) {}
 
-// NextActiveCycle implements gpu.FastForwardAware: the policy never acts.
-func (p *StaticBlocks) NextActiveCycle(int64) int64 { return math.MaxInt64 }
-
-// AccumulateSpan implements gpu.FastForwardAware: nothing to accumulate.
-func (p *StaticBlocks) AccumulateSpan(*gpu.Machine, int64, int64) {}
-
 // Multi fans a machine's policy hooks out to several policies in order. It
 // lets a passive Monitor observe a run driven by an active policy (the
 // Figure 11b study records DynCTA's concurrency choices this way).
 type Multi []gpu.Policy
 
-var (
-	_ gpu.Policy           = (Multi)(nil)
-	_ gpu.FastForwardAware = (Multi)(nil)
-)
+var _ gpu.Policy = (Multi)(nil)
 
 // Name implements gpu.Policy.
 func (m Multi) Name() string {
@@ -85,32 +71,6 @@ func (m Multi) OnSMCycle(machine *gpu.Machine, now clock.Time, smCycle int64) {
 	}
 }
 
-// NextActiveCycle implements gpu.FastForwardAware: the earliest member
-// activity. A member that is not fast-forward aware may act on any cycle, so
-// the fan-out reports the very next cycle as active, disabling skips.
-func (m Multi) NextActiveCycle(smCycle int64) int64 {
-	next := int64(math.MaxInt64)
-	for _, p := range m {
-		a, ok := p.(gpu.FastForwardAware)
-		if !ok {
-			return smCycle + 1
-		}
-		if at := a.NextActiveCycle(smCycle); at < next {
-			next = at
-		}
-	}
-	return next
-}
-
-// AccumulateSpan implements gpu.FastForwardAware.
-func (m Multi) AccumulateSpan(machine *gpu.Machine, fromCycle, toCycle int64) {
-	for _, p := range m {
-		if a, ok := p.(gpu.FastForwardAware); ok {
-			a.AccumulateSpan(machine, fromCycle, toCycle)
-		}
-	}
-}
-
 // Monitor passively samples the warp-state census every sampleInterval
 // cycles, accumulating the state distribution of Figure 4 and the per-epoch
 // time series of Figure 2b. It never changes any parameter.
@@ -137,10 +97,7 @@ type EpochPoint struct {
 	Active, Waiting, XALU, XMEM, Issued float64
 }
 
-var (
-	_ gpu.Policy           = (*Monitor)(nil)
-	_ gpu.FastForwardAware = (*Monitor)(nil)
-)
+var _ gpu.Policy = (*Monitor)(nil)
 
 // NewMonitor builds a monitor with the paper's sampling parameters.
 func NewMonitor() *Monitor { return &Monitor{SampleInterval: 128, EpochCycles: 4096} }
@@ -199,49 +156,6 @@ func (p *Monitor) OnSMCycle(m *gpu.Machine, _ clock.Time, smCycle int64) {
 		p.acc = StateSums{}
 		p.accN = 0
 	}
-}
-
-// NextActiveCycle implements gpu.FastForwardAware: the epoch-boundary series
-// append is the only non-accumulate step.
-func (p *Monitor) NextActiveCycle(smCycle int64) int64 {
-	ec := int64(p.EpochCycles)
-	return (smCycle/ec + 1) * ec
-}
-
-// AccumulateSpan implements gpu.FastForwardAware: add one sample per
-// SampleInterval multiple in [fromCycle, toCycle], each an exact copy of the
-// current census. Epoch boundaries never land inside a span (NextActiveCycle
-// excludes them), so the series is untouched.
-func (p *Monitor) AccumulateSpan(m *gpu.Machine, fromCycle, toCycle int64) {
-	si := int64(p.SampleInterval)
-	k := toCycle/si - (fromCycle-1)/si
-	if k == 0 {
-		return
-	}
-	var s StateSums
-	for i := 0; i < m.NumSMs(); i++ {
-		snap := m.SM(i).Snapshot()
-		s.Active += int64(snap.Active)
-		s.Waiting += int64(snap.Waiting)
-		s.Issued += int64(snap.Issued)
-		s.XALU += int64(snap.XALU)
-		s.XMEM += int64(snap.XMEM)
-		s.Others += int64(snap.Others)
-	}
-	p.sums.Active += k * s.Active
-	p.sums.Waiting += k * s.Waiting
-	p.sums.Issued += k * s.Issued
-	p.sums.XALU += k * s.XALU
-	p.sums.XMEM += k * s.XMEM
-	p.sums.Others += k * s.Others
-	p.samples += int(k)
-
-	p.acc.Active += k * s.Active
-	p.acc.Waiting += k * s.Waiting
-	p.acc.Issued += k * s.Issued
-	p.acc.XALU += k * s.XALU
-	p.acc.XMEM += k * s.XMEM
-	p.accN += int(k)
 }
 
 // Distribution returns the mean per-SM census over the run: the fractions of

@@ -34,7 +34,6 @@ package tuner
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"equalizer/internal/telemetry"
@@ -201,24 +200,24 @@ type Controller struct {
 	cfg    Config
 	target Target
 
-	mu           sync.Mutex
-	epoch        int
-	hasPrev      bool
-	prev         Sample
-	satStreak    int
-	idleStreak   int
-	cooldown     int
-	lastVerdict  Verdict
-	refP95       float64 // p95 observed when the last shrink was decided
-	shrinkDebt   int     // extra idle epochs demanded after a backoff
-	workers      int     // last applied width (tracks the target)
-	admit        int     // last applied admission limit
-	ring         []Decision
-	ringNext     int
-	ringTotal    uint64
-	stopOnce     sync.Once
-	stopCh       chan struct{}
-	startedTicks atomic.Bool
+	mu          sync.Mutex
+	epoch       int
+	hasPrev     bool
+	prev        Sample
+	satStreak   int
+	idleStreak  int
+	cooldown    int
+	lastVerdict Verdict
+	refP95      float64 // p95 observed when the last shrink was decided
+	shrinkDebt  int     // extra idle epochs demanded after a backoff
+	workers     int     // last applied width (tracks the target)
+	admit       int     // last applied admission limit
+	ring        []Decision
+	ringNext    int
+	ringTotal   uint64
+	stopOnce    sync.Once
+	stopCh      chan struct{}
+	loop        sync.WaitGroup // the Start goroutine, so Stop can wait it out
 
 	epochs    *telemetry.Counter
 	workersG  *telemetry.Gauge
@@ -278,7 +277,9 @@ func (c *Controller) Epochs() uint64 { return c.epochs.Value() }
 
 // Start launches the control loop on a wall-clock ticker. Stop ends it.
 func (c *Controller) Start() {
+	c.loop.Add(1)
 	go func() {
+		defer c.loop.Done()
 		tick := time.NewTicker(c.cfg.Interval)
 		defer tick.Stop()
 		for {
@@ -292,9 +293,12 @@ func (c *Controller) Start() {
 	}()
 }
 
-// Stop ends the control loop. Idempotent; safe without Start.
+// Stop ends the control loop and waits for an in-flight Tick to finish, so
+// the target sees no Sample or Apply after Stop returns. Idempotent; safe
+// without Start.
 func (c *Controller) Stop() {
 	c.stopOnce.Do(func() { close(c.stopCh) })
+	c.loop.Wait()
 }
 
 // Tick evaluates one control epoch: sample, classify, decide, apply. It is

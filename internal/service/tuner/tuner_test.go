@@ -2,6 +2,8 @@ package tuner
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -301,4 +303,63 @@ func TestStartStopTicker(t *testing.T) {
 	}
 	c.Stop()
 	c.Stop() // idempotent
+}
+
+// blockingTarget parks the control loop inside Sample until released and
+// counts the calls that reach it afterwards.
+type blockingTarget struct {
+	entered chan struct{} // closed when the first Sample is in flight
+	release chan struct{}
+	once    sync.Once
+	calls   atomic.Int64
+}
+
+func (b *blockingTarget) Sample() Sample {
+	b.calls.Add(1)
+	b.once.Do(func() { close(b.entered) })
+	<-b.release
+	return Sample{}
+}
+
+func (b *blockingTarget) Apply(int, int) { b.calls.Add(1) }
+
+// TestStopWaitsForInFlightTick: Stop may not return while a Tick is still
+// inside the target, or a drain could be followed by one more resize (the
+// "still ticking after drain" flake).
+func TestStopWaitsForInFlightTick(t *testing.T) {
+	tgt := &blockingTarget{entered: make(chan struct{}), release: make(chan struct{})}
+	c := New(Config{Interval: time.Millisecond, MinWorkers: 1, MaxWorkers: 2}, tgt)
+	c.Start()
+	select {
+	case <-tgt.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ticker never reached the target")
+	}
+
+	stopped := make(chan struct{})
+	go func() {
+		c.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while a Tick was blocked inside Sample")
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	close(tgt.release)
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop never returned after the Tick finished")
+	}
+	after, epochs := tgt.calls.Load(), c.Epochs()
+	time.Sleep(10 * time.Millisecond) // ten intervals
+	if got := tgt.calls.Load(); got != after {
+		t.Errorf("target called %d more times after Stop returned", got-after)
+	}
+	if got := c.Epochs(); got != epochs {
+		t.Errorf("epochs moved %d -> %d after Stop returned", epochs, got)
+	}
+	c.Stop() // still idempotent
 }

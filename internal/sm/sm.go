@@ -11,7 +11,6 @@ package sm
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"equalizer/internal/cache"
@@ -214,7 +213,7 @@ type SM struct {
 	// Bitset scheduler state. fastIssue enables the mask-based issue path
 	// (requires MaxWarpsPerSM <= 64); masksDirty forces a recount from the
 	// per-slot state before the next fast issue — set by every mutation the
-	// incremental updates do not model (block launch, pausing, the legacy
+	// incremental updates do not model (block launch, pausing, the linear
 	// scan's mid-cycle barrier/exit processing).
 	fastIssue  bool
 	masksDirty bool
@@ -284,10 +283,11 @@ func New(cfg config.GPU, index int) *SM {
 	return s
 }
 
-// SetFastIssue enables or disables the bitset issue path; disabling it (the
-// -fastforward escape hatch) restores the per-cycle linear scan verbatim.
-// The request is ignored when the hardware configuration exceeds the 64-slot
-// mask width. Call between runs, not mid-invocation.
+// SetFastIssue enables or disables the bitset issue path; disabling it makes
+// the per-cycle linear scan — the reference the differential tests compare
+// against — issue every cycle. Enabling is ignored when the hardware
+// configuration exceeds the 64-slot mask width. Call between runs, not
+// mid-invocation.
 func (s *SM) SetFastIssue(enabled bool) {
 	s.fastIssue = enabled && s.cfg.MaxWarpsPerSM <= 64
 	s.masksDirty = true
@@ -537,9 +537,9 @@ func (s *SM) Step(now clock.Time, smPeriod clock.Time) {
 	}
 
 	// 3. Issue: classify warps, pick one ALU and one MEM candidate. The
-	// bitset path handles the common cycle; it bails to the legacy linear
-	// scan for the order-dependent cases (barrier/exit heads, an installed
-	// issue filter), which leaves the masks dirty for a recount.
+	// bitset path handles the common cycle; it bails to the linear scan for
+	// the order-dependent cases (barrier/exit heads, an installed issue
+	// filter), which leaves the masks dirty for a recount.
 	if s.fastIssue && s.filter == nil {
 		if s.masksDirty {
 			s.recomputeMasks(now)
@@ -602,7 +602,7 @@ func (s *SM) recomputeMasks(now clock.Time) {
 
 // firstFromRR returns the lowest-index set bit of mask at or after the
 // round-robin origin rrALU, wrapping; -1 when mask is empty. This reproduces
-// the legacy scan's "first candidate in scan order" selection.
+// the linear scan's "first candidate in scan order" selection.
 func (s *SM) firstFromRR(mask uint64) int {
 	if mask == 0 {
 		return -1
@@ -617,8 +617,8 @@ func (s *SM) firstFromRR(mask uint64) int {
 // round-robin scan order, classifying each into the cur*Mask sets. It stops
 // and reports false at the first barrier or exit head: processing those
 // mutates mid-scan state (block-wide barrier release, block completion and
-// unpausing) that only the legacy scan models, and every warp fetched so far
-// is exactly what the legacy scan would have fetched before reaching it.
+// unpausing) that only the linear scan models, and every warp fetched so far
+// is exactly what the linear scan would have fetched before reaching it.
 func (s *SM) fetchHeads(toFetch uint64) bool {
 	hi := toFetch >> uint(s.rrALU) << uint(s.rrALU)
 	lo := toFetch &^ (^uint64(0) << uint(s.rrALU))
@@ -648,7 +648,7 @@ func (s *SM) fetchHeads(toFetch uint64) bool {
 
 // issueFast is the bitset issue path: census by popcount, candidate selection
 // by find-first-set. It reports false — leaving all per-slot mutations it
-// made consistent — when the cycle needs the legacy scan.
+// made consistent — when the cycle needs the linear scan.
 func (s *SM) issueFast(now clock.Time, smPeriod clock.Time) bool {
 	active := s.validMask &^ s.pausedMask
 	ready := active &^ (s.barrierMask | s.pendingMask | s.gapMask)
@@ -1013,82 +1013,6 @@ func (s *SM) finishIssue(now clock.Time, smPeriod clock.Time, snap Snapshot,
 		s.probe.Emit(int64(now), telemetry.KindStallCensus, int16(s.index),
 			packed, int64(issued))
 	}
-}
-
-// NextEventAt reports whether the SM is quiescent — no warp can issue, fetch
-// or touch the L1 before some future event — and, when it is, the earliest
-// absolute time (picoseconds) at which its state can next change. A cycle
-// boundary strictly before that time is a pure bookkeeping cycle: census,
-// cycle counters and telemetry, all computable in closed form by FastForward.
-func (s *SM) NextEventAt() (int64, bool) {
-	// The fast path's masks are the quiescence witness; without them (legacy
-	// mode, an installed filter, or a pending recount) every cycle must run.
-	if !s.fastIssue || s.filter != nil || s.masksDirty {
-		return 0, false
-	}
-	ready := (s.validMask &^ s.pausedMask) &^ (s.barrierMask | s.pendingMask | s.gapMask)
-	if ready != 0 {
-		return 0, false
-	}
-	// A non-empty LSU or texture queue with a free outbox re-probes the L1
-	// every cycle (even a Reject-blocked head has MSHR side effects); a full
-	// outbox gates both queues off entirely.
-	if (len(s.lsu) > 0 || len(s.tex) > 0) && !s.outboxFull {
-		return 0, false
-	}
-	next := int64(math.MaxInt64)
-	if at, ok := s.wakeQueue.NextAt(); ok && at < next {
-		next = at
-	}
-	if at, ok := s.gapQueue.NextAt(); ok && at < next {
-		next = at
-	}
-	return next, true
-}
-
-// FastForward retires n consecutive quiescent cycles in closed form. The
-// caller (the machine's fast-forward engine) guarantees NextEventAt reported
-// quiescent and that every boundary firstPS, firstPS+stridePS, ...,
-// firstPS+(n-1)*stridePS lies strictly before the reported event time, with
-// no VF switch in the span (stridePS constant). Counters and census snapshot
-// end up exactly as n Step calls would leave them. Census telemetry is NOT
-// emitted here: the legacy loop interleaves one event per SM per cycle, so
-// the machine replays that order across SMs via EmitCensus.
-//
-//eqlint:cycle-owner
-//eqlint:hotpath
-func (s *SM) FastForward(n, firstPS, stridePS int64) {
-	s.stats.Cycles += uint64(n)
-	if s.residentBlocks > 0 {
-		s.stats.ActiveCycles += uint64(n)
-	}
-	s.nowPS = firstPS + (n-1)*stridePS
-
-	// The census of a quiescent cycle: no warp issues or is pipe-ready, so
-	// every active warp is either at a barrier (Others) or waiting.
-	active := s.validMask &^ s.pausedMask
-	snap := Snapshot{Active: bits.OnesCount64(active)}
-	snap.Others = bits.OnesCount64(active & s.barrierMask)
-	snap.Waiting = snap.Active - snap.Others
-	s.snap = snap
-	if invariant.Enabled {
-		s.verifyInvariants()
-	}
-}
-
-// EmitCensus emits the current census snapshot as a stall-census event at
-// time ps, exactly as the per-cycle issue path would. The fast-forward
-// engine calls it once per SM per skipped cycle, iterating cycles outermost
-// and SMs innermost, so the event stream interleaves identically to the
-// legacy loop's.
-//
-//eqlint:hotpath
-func (s *SM) EmitCensus(ps int64) {
-	snap := s.snap
-	packed := int64(snap.Active)<<24 | int64(snap.Waiting)<<16 |
-		int64(snap.XALU)<<8 | int64(snap.XMEM)
-	s.probe.Emit(ps, telemetry.KindStallCensus, int16(s.index),
-		packed, int64(snap.Issued))
 }
 
 func (s *SM) arriveBarrier(ws int, now clock.Time) {
