@@ -57,6 +57,15 @@ type line struct {
 	lru uint64
 }
 
+// mshr is one miss-status holding register: the outstanding line and the
+// number of requests merged onto its fill. next links the entry into its
+// bucket chain while busy and into the free list while idle (-1 ends both).
+type mshr struct {
+	line  Addr
+	count int32
+	next  int32
+}
+
 // Stats aggregates cache activity.
 type Stats struct {
 	Accesses  uint64
@@ -89,9 +98,20 @@ type Cache struct {
 	sets  [][]line
 	clock uint64
 
-	// mshrs maps outstanding line addresses to the number of merged
-	// requests waiting on the fill.
-	mshrs map[Addr]int
+	// mshrs is the MSHR file, indexed by slot. Busy entries are chained per
+	// bucket of a multiplicative hash of the line number (buckets holds each
+	// chain's head, -1 when empty); idle entries are chained from free. The
+	// hash, not the set index, picks the bucket: strided access patterns
+	// park many pending lines in a few sets, and a set-indexed table
+	// degenerates into long chains exactly when the miss path is busiest.
+	mshrs       []mshr
+	buckets     []int32
+	bucketShift uint
+	free        int32
+	busy        int
+	// slot is the entry the most recent Miss or MergedMiss used, or the most
+	// recent Fill released.
+	slot int
 
 	lastVictim    Addr
 	hasLastVictim bool
@@ -124,19 +144,56 @@ func New(geom config.Cache) (*Cache, error) {
 		return nil, fmt.Errorf("cache: MSHR count %d must be positive", geom.MSHRs)
 	}
 	c := &Cache{
-		geom:    geom,
-		setMask: uint64(geom.Sets - 1),
-		mshrs:   make(map[Addr]int, geom.MSHRs),
+		geom:        geom,
+		setMask:     uint64(geom.Sets - 1),
+		mshrs:       make([]mshr, geom.MSHRs),
+		bucketShift: 64,
 	}
 	for geom.LineBytes>>c.lineShift > 1 {
 		c.lineShift++
 	}
+	// At least two buckets per MSHR keeps the expected chain length below
+	// one entry even with every MSHR busy.
+	for 1<<(64-c.bucketShift) < 2*geom.MSHRs {
+		c.bucketShift--
+	}
+	c.buckets = make([]int32, 1<<(64-c.bucketShift))
+	c.clearMSHRs()
 	c.sets = make([][]line, geom.Sets)
 	backing := make([]line, geom.Sets*geom.Ways)
 	for i := range c.sets {
 		c.sets[i], backing = backing[:geom.Ways], backing[geom.Ways:]
 	}
 	return c, nil
+}
+
+// clearMSHRs empties the MSHR file: every bucket chain ends at once and the
+// free list runs through the entries in slot order.
+func (c *Cache) clearMSHRs() {
+	for i := range c.buckets {
+		c.buckets[i] = -1
+	}
+	for i := range c.mshrs {
+		c.mshrs[i] = mshr{next: int32(i + 1)}
+	}
+	c.mshrs[len(c.mshrs)-1].next = -1
+	c.free = 0
+	c.busy = 0
+}
+
+// bucket hashes a line address to its MSHR bucket (Fibonacci hashing of the
+// line number: the top bits of the product mix every input bit).
+func (c *Cache) bucket(la Addr) int {
+	return int((uint64(la) >> c.lineShift) * 0x9E3779B97F4A7C15 >> c.bucketShift)
+}
+
+// findMSHR returns the busy entry tracking line la in bucket b, or -1.
+func (c *Cache) findMSHR(la Addr, b int) int32 {
+	i := c.buckets[b]
+	for i >= 0 && c.mshrs[i].line != la {
+		i = c.mshrs[i].next
+	}
+	return i
 }
 
 // MustNew is New but panics on error; for configurations known statically.
@@ -190,19 +247,27 @@ func (c *Cache) access(a Addr) AccessResult {
 			return Hit
 		}
 	}
-	if n, ok := c.mshrs[la]; ok {
-		c.mshrs[la] = n + 1
+	b := c.bucket(la)
+	if i := c.findMSHR(la, b); i >= 0 {
+		c.mshrs[i].count++
+		c.slot = int(i)
 		c.stats.Merged++
 		return MergedMiss
 	}
-	if len(c.mshrs) >= c.geom.MSHRs {
+	if c.free < 0 {
 		c.stats.Rejects++
 		// Rejected probes do not count as demand accesses for hit-rate
 		// purposes; the warp retries later.
 		c.stats.Accesses--
 		return Reject
 	}
-	c.mshrs[la] = 1
+	i := c.free
+	e := &c.mshrs[i]
+	c.free = e.next
+	*e = mshr{line: la, count: 1, next: c.buckets[b]}
+	c.buckets[b] = i
+	c.busy++
+	c.slot = int(i)
 	c.stats.Misses++
 	return Miss
 }
@@ -222,15 +287,30 @@ func (c *Cache) Contains(a Addr) bool {
 
 // Fill completes an outstanding miss: it releases the MSHR for the line and
 // installs the line, evicting the LRU victim if the set is full. It returns
-// the number of requests that were waiting on the fill (>= 1). Calling Fill
-// for a line with no outstanding MSHR is a programming error.
+// the number of requests that were waiting on the fill (>= 1); Slot then
+// names the released MSHR. Calling Fill for a line with no outstanding MSHR
+// is a programming error.
 func (c *Cache) Fill(a Addr) int {
 	la := c.LineAddr(a)
-	waiters, ok := c.mshrs[la]
-	if !ok {
+	b := c.bucket(la)
+	prev, i := int32(-1), c.buckets[b]
+	for i >= 0 && c.mshrs[i].line != la {
+		prev, i = i, c.mshrs[i].next
+	}
+	if i < 0 {
 		panic(fmt.Sprintf("cache: Fill(%#x) without outstanding miss", uint64(a)))
 	}
-	delete(c.mshrs, la)
+	e := &c.mshrs[i]
+	waiters := int(e.count)
+	if prev < 0 {
+		c.buckets[b] = e.next
+	} else {
+		c.mshrs[prev].next = e.next
+	}
+	*e = mshr{next: c.free}
+	c.free = i
+	c.busy--
+	c.slot = int(i)
 	c.stats.Fills++
 
 	set := c.sets[c.setIndex(a)]
@@ -270,19 +350,26 @@ func (c *Cache) Fill(a Addr) int {
 // populate victim tag arrays.
 func (c *Cache) LastVictim() (Addr, bool) { return c.lastVictim, c.hasLastVictim }
 
+// Slot returns the MSHR slot, in [0, MSHRs), that the most recent Access
+// returning Miss or MergedMiss used, or that the most recent Fill released.
+// Busy slots are unique among outstanding misses, so callers can keep
+// per-miss state in a slice indexed by slot instead of a map keyed by line.
+// After a Hit or Reject it still names the earlier miss's slot.
+func (c *Cache) Slot() int { return c.slot }
+
 // MissPending reports whether an MSHR is already allocated for the line
 // containing a (a new request for it would merge rather than consume a
 // fresh MSHR or downstream slot).
 func (c *Cache) MissPending(a Addr) bool {
-	_, ok := c.mshrs[c.LineAddr(a)]
-	return ok
+	la := c.LineAddr(a)
+	return c.findMSHR(la, c.bucket(la)) >= 0
 }
 
 // OutstandingMisses returns the number of busy MSHRs.
-func (c *Cache) OutstandingMisses() int { return len(c.mshrs) }
+func (c *Cache) OutstandingMisses() int { return c.busy }
 
 // MSHRsFree reports whether at least one MSHR is available.
-func (c *Cache) MSHRsFree() bool { return len(c.mshrs) < c.geom.MSHRs }
+func (c *Cache) MSHRsFree() bool { return c.free >= 0 }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -298,10 +385,7 @@ func (c *Cache) Flush() {
 			set[i] = line{}
 		}
 	}
-	// Clear in place instead of reallocating: per-invocation flushes of 16
-	// caches otherwise cost a fresh map each, and the retained buckets are
-	// exactly the steady-state MSHR footprint.
-	clear(c.mshrs)
+	c.clearMSHRs()
 }
 
 // Geometry returns the configured geometry.

@@ -221,3 +221,222 @@ func TestQuickLRUNoThrashWithinAssociativity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// mshrModel is the reference the MSHR file is checked against: pending
+// misses in a map keyed by line, residency as per-set recency lists (least
+// recent first), and the slot each outstanding miss was given.
+type mshrModel struct {
+	geom    config.Cache
+	pending map[Addr]int
+	slots   map[Addr]int
+	sets    map[Addr][]Addr
+	// order lists the pending lines in allocation order, so Fill picks a
+	// victim deterministically.
+	order []Addr
+}
+
+func newMSHRModel(g config.Cache) *mshrModel {
+	return &mshrModel{geom: g, pending: map[Addr]int{}, slots: map[Addr]int{}, sets: map[Addr][]Addr{}}
+}
+
+func (m *mshrModel) set(la Addr) Addr {
+	return la / Addr(m.geom.LineBytes) % Addr(m.geom.Sets)
+}
+
+func (m *mshrModel) resident(la Addr) int {
+	for i, x := range m.sets[m.set(la)] {
+		if x == la {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *mshrModel) access(la Addr) AccessResult {
+	s := m.set(la)
+	if i := m.resident(la); i >= 0 {
+		lines := m.sets[s]
+		m.sets[s] = append(append(lines[:i:i], lines[i+1:]...), la)
+		return Hit
+	}
+	if _, ok := m.pending[la]; ok {
+		m.pending[la]++
+		return MergedMiss
+	}
+	if len(m.pending) >= m.geom.MSHRs {
+		return Reject
+	}
+	m.pending[la] = 1
+	m.order = append(m.order, la)
+	return Miss
+}
+
+func (m *mshrModel) fill(la Addr) int {
+	n := m.pending[la]
+	delete(m.pending, la)
+	delete(m.slots, la)
+	for i, x := range m.order {
+		if x == la {
+			m.order = append(m.order[:i:i], m.order[i+1:]...)
+			break
+		}
+	}
+	s := m.set(la)
+	lines := m.sets[s]
+	if len(lines) == m.geom.Ways {
+		lines = lines[1:]
+	}
+	m.sets[s] = append(lines[:len(lines):len(lines)], la)
+	return n
+}
+
+// mshrPatterns names the address pools runMSHRFile draws from.
+var mshrPatterns = []string{"spread", "one-set", "one-bucket"}
+
+// mshrPool returns 2×MSHRs+4 distinct line addresses: consecutive lines
+// ("spread"), lines strided to a single set ("one-set"), or lines that all
+// hash to one MSHR bucket ("one-bucket").
+func mshrPool(c *Cache, pattern string) []Addr {
+	g := c.Geometry()
+	n := 2*g.MSHRs + 4
+	pool := make([]Addr, 0, n)
+	line := Addr(g.LineBytes)
+	switch pattern {
+	case "spread":
+		for i := 0; i < n; i++ {
+			pool = append(pool, Addr(i)*line)
+		}
+	case "one-set":
+		for i := 0; i < n; i++ {
+			pool = append(pool, Addr(i*g.Sets)*line)
+		}
+	case "one-bucket":
+		want := c.bucket(0)
+		for a := Addr(0); len(pool) < n; a += line {
+			if c.bucket(a) == want {
+				pool = append(pool, a)
+			}
+		}
+	}
+	return pool
+}
+
+// runMSHRFile replays an operation script against a cache and the reference
+// model, fails the test at the first disagreement and returns the cache's
+// statistics. data[0] picks the MSHR count (1, 3, 32 or 128) and data[1] the
+// address pattern; each later pair of bytes is one operation — Access, Fill
+// of the oldest or newest pending line, a MissPending/Contains probe, or
+// (rarely) Flush — and the pool index of its address.
+func runMSHRFile(t *testing.T, data []byte) Stats {
+	t.Helper()
+	if len(data) < 2 {
+		return Stats{}
+	}
+	g := config.Cache{Sets: 8, Ways: 2, LineBytes: 64, MSHRs: []int{1, 3, 32, 128}[data[0]%4]}
+	pattern := mshrPatterns[int(data[1])%len(mshrPatterns)]
+	c := MustNew(g)
+	m := newMSHRModel(g)
+	pool := mshrPool(c, pattern)
+	for step := 0; 2*step+3 < len(data); step++ {
+		op, idx := data[2*step+2], data[2*step+3]
+		a := pool[int(idx)*len(pool)/256] + Addr(op>>3)
+		la := c.LineAddr(a)
+		switch op & 7 {
+		case 0, 1, 2, 3:
+			got, want := c.Access(a), m.access(la)
+			if got != want {
+				t.Fatalf("step %d: Access(%#x) = %v, model %v", step, uint64(a), got, want)
+			}
+			if got != Miss && got != MergedMiss {
+				break
+			}
+			slot := c.Slot()
+			if slot < 0 || slot >= g.MSHRs {
+				t.Fatalf("step %d: slot %d outside [0, %d)", step, slot, g.MSHRs)
+			}
+			if got == MergedMiss {
+				if m.slots[la] != slot {
+					t.Fatalf("step %d: merge into slot %d, miss was given %d", step, slot, m.slots[la])
+				}
+				break
+			}
+			for other, s := range m.slots {
+				if s == slot {
+					t.Fatalf("step %d: slot %d given to %#x while %#x holds it", step, slot, uint64(la), uint64(other))
+				}
+			}
+			m.slots[la] = slot
+		case 4:
+			if len(m.order) == 0 {
+				break
+			}
+			victim := m.order[0]
+			if op&8 != 0 {
+				victim = m.order[len(m.order)-1]
+			}
+			slot := m.slots[victim]
+			want := m.fill(victim)
+			if got := c.Fill(victim); got != want {
+				t.Fatalf("step %d: Fill(%#x) = %d waiters, model %d", step, uint64(victim), got, want)
+			}
+			if c.Slot() != slot {
+				t.Fatalf("step %d: Fill released slot %d, miss was given %d", step, c.Slot(), slot)
+			}
+		case 5, 6:
+			_, want := m.pending[la]
+			if got := c.MissPending(a); got != want {
+				t.Fatalf("step %d: MissPending(%#x) = %v, model %v", step, uint64(a), got, want)
+			}
+			if got, want := c.Contains(a), m.resident(la) >= 0; got != want {
+				t.Fatalf("step %d: Contains(%#x) = %v, model %v", step, uint64(a), got, want)
+			}
+		case 7:
+			if op>>3 != 0 {
+				break
+			}
+			c.Flush()
+			*m = *newMSHRModel(g)
+		}
+		if got, want := c.OutstandingMisses(), len(m.pending); got != want {
+			t.Fatalf("step %d: OutstandingMisses = %d, model %d", step, got, want)
+		}
+		if got, want := c.MSHRsFree(), len(m.pending) < g.MSHRs; got != want {
+			t.Fatalf("step %d: MSHRsFree = %v, model %v", step, got, want)
+		}
+	}
+	return c.Stats()
+}
+
+// TestMSHRFileMatchesModel replays random scripts over every MSHR count and
+// address pattern, including pools that collide in one set and in one hash
+// bucket.
+func TestMSHRFileMatchesModel(t *testing.T) {
+	for mshrs := byte(0); mshrs < 4; mshrs++ {
+		for pattern := range mshrPatterns {
+			rng := rand.New(rand.NewSource(int64(mshrs)*10 + int64(pattern)))
+			var total Stats
+			for run := 0; run < 20; run++ {
+				data := make([]byte, 2+rng.Intn(6000))
+				rng.Read(data[2:])
+				data[0], data[1] = mshrs, byte(pattern)
+				s := runMSHRFile(t, data)
+				total.Hits += s.Hits
+				total.Merged += s.Merged
+				total.Rejects += s.Rejects
+			}
+			if total.Hits == 0 || total.Merged == 0 || total.Rejects == 0 {
+				t.Errorf("MSHRs index %d, pattern %s: scripts never reached some outcome: %+v",
+					mshrs, mshrPatterns[pattern], total)
+			}
+		}
+	}
+}
+
+func FuzzMSHRFile(f *testing.F) {
+	for mshrs := byte(0); mshrs < 4; mshrs++ {
+		for pattern := range mshrPatterns {
+			f.Add([]byte{mshrs, byte(pattern), 0x00, 0, 0x08, 90, 0x01, 200, 0x04, 0, 0x05, 90, 0x0c, 0, 0x07, 0})
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runMSHRFile(t, data) })
+}

@@ -110,12 +110,14 @@ type Machine struct {
 	l2   *cache.Cache
 	net  *icnt.Network
 	dram memController
-	// l2Waiters maps a pending L2 line to the SM requests awaiting it;
-	// l2WaiterPool recycles the value slices across misses.
-	l2Waiters    map[cache.Addr][]icnt.Request
-	l2WaiterPool [][]icnt.Request
+	// l2Waiters lists, per L2 MSHR slot, the SM requests awaiting that
+	// slot's fill; a list is emptied in place when the fill arrives.
+	l2Waiters [][]icnt.Request
 	// l2Replies delays L2 hit responses by the L2 latency.
 	l2Replies events.Queue[icnt.Request]
+	// freshMiss remembers, per interconnect port, a line the saturated L2
+	// probed and found neither resident nor pending (see drainRequest).
+	freshMiss []portLine
 
 	// drainFn and deliverFn are the interconnect-drain and reply-delivery
 	// callbacks, allocated once instead of per memory cycle; hitDelayPS and
@@ -171,7 +173,8 @@ func New(cfg config.GPU, pcfg power.Config, policy Policy) (*Machine, error) {
 			DrainPerCycle: 10,
 		}),
 		dram:         newMemController(cfg),
-		l2Waiters:    make(map[cache.Addr][]icnt.Request),
+		l2Waiters:    make([][]icnt.Request, cfg.L2.MSHRs),
+		freshMiss:    make([]portLine, cfg.NumSMs),
 		meter:        power.NewMeter(pcfg),
 		policy:       policy,
 		lastSMLevel:  config.VFNormal,
@@ -458,11 +461,10 @@ func (m *Machine) launch(tasks []Task) (runStart, error) {
 		s.SetL1Listener(nil)
 	}
 	m.l2.Flush()
-	//eqlint:allow nodeterminism -- recycles waiter slices into a pool; only capacities survive, never order
-	for line, w := range m.l2Waiters {
-		m.l2WaiterPool = append(m.l2WaiterPool, w[:0])
-		delete(m.l2Waiters, line)
+	for i := range m.l2Waiters {
+		m.l2Waiters[i] = m.l2Waiters[i][:0]
 	}
+	clear(m.freshMiss)
 	m.l2Replies.Reset()
 
 	if m.policy != nil {
@@ -521,7 +523,7 @@ func (m *Machine) loop() error {
 					m.invocationLabel(), maxInvocationCycles)
 			}
 			if m.done(int64(now)) {
-				return nil
+				return m.checkDrained()
 			}
 		} else {
 			now := m.memDomain.Tick()
@@ -625,11 +627,59 @@ func (m *Machine) verifyInvariants() {
 	invariant.Checkf(ds.Serviced <= ds.Enqueued,
 		"gpu: DRAM serviced %d of %d enqueued requests", ds.Serviced, ds.Enqueued)
 
-	// Every outstanding L2 waiter list belongs to a miss still in flight;
-	// an empty list would mean a fill went unrouted.
-	for line, ws := range m.l2Waiters { //eqlint:allow nodeterminism -- read-only sweep; panics on first violation only
-		invariant.Checkf(len(ws) > 0, "gpu: empty L2 waiter list for line %#x", line)
+	// A fresh miss adds its first waiter in the call that allocates the
+	// MSHR and a fill empties the list in the step that releases it, so
+	// exactly the busy slots have waiters.
+	lists := 0
+	for _, ws := range m.l2Waiters {
+		if len(ws) > 0 {
+			lists++
+		}
 	}
+	invariant.Checkf(lists == m.l2.OutstandingMisses(),
+		"gpu: L2 waiter leak: %d non-empty waiter lists, %d outstanding misses",
+		lists, m.l2.OutstandingMisses())
+
+	// The fresh-miss memo only ever names lines the L2 neither holds nor
+	// tracks (drainRequest states why).
+	for port, f := range m.freshMiss {
+		invariant.Checkf(!f.valid || (!m.l2.Contains(f.line) && !m.l2.MissPending(f.line)),
+			"gpu: stale fresh-miss memo on port %d: line %#x is resident or pending", port, f.line)
+	}
+}
+
+// checkDrained verifies the conservation laws that must hold once a run has
+// finished: every miss was filled and every waiter answered, every request
+// the interconnect accepted reached the L2, and no L2 reply is still
+// delayed. It costs O(SMs + MSHRs) per run and is always on; a violation is
+// a simulator bug, reported as an error naming the invocation.
+func (m *Machine) checkDrained() error {
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("gpu: %s: run ended with %s", m.invocationLabel(), fmt.Sprintf(format, args...))
+	}
+	if n := m.l2.OutstandingMisses(); n != 0 {
+		return fail("%d outstanding L2 misses", n)
+	}
+	for slot, ws := range m.l2Waiters {
+		if len(ws) != 0 {
+			return fail("%d requests waiting on L2 MSHR slot %d", len(ws), slot)
+		}
+	}
+	for i, s := range m.sms {
+		if n := s.L1().OutstandingMisses(); n != 0 {
+			return fail("%d outstanding L1 misses on SM %d", n, i)
+		}
+		if n := s.L1Waiters(); n != 0 {
+			return fail("%d warps waiting on L1 fills on SM %d", n, i)
+		}
+	}
+	if ns := m.net.Stats(); ns.Pushed != ns.Delivered {
+		return fail("%d requests pushed into the interconnect but %d delivered", ns.Pushed, ns.Delivered)
+	}
+	if n := m.l2Replies.Len(); n != 0 {
+		return fail("%d L2 replies undelivered", n)
+	}
+	return nil
 }
 
 // done reports completion and stamps partition finish times.
@@ -698,14 +748,11 @@ func (m *Machine) stepMemory(now clock.Time) {
 	for _, line := range m.dram.Step(m.memCycle) {
 		m.l2.Fill(line)
 		m.seenMem.DRAM++ // counted at service for level attribution
-		waiters := m.l2Waiters[line]
-		for _, req := range waiters {
+		slot := m.l2.Slot()
+		for _, req := range m.l2Waiters[slot] {
 			m.sms[req.SM].DeliverLine(req.Line, now)
 		}
-		delete(m.l2Waiters, line)
-		if cap(waiters) > 0 {
-			m.l2WaiterPool = append(m.l2WaiterPool, waiters[:0])
-		}
+		m.l2Waiters[slot] = m.l2Waiters[slot][:0]
 	}
 
 	// 2. Delayed L2 hit replies reach their SMs (deliverFn reads the cycle
@@ -726,46 +773,65 @@ func (m *Machine) stepMemory(now clock.Time) {
 	m.net.Drain(m.drainFn)
 }
 
+// portLine is one interconnect port's fresh-miss memo entry.
+type portLine struct {
+	line  cache.Addr
+	valid bool
+}
+
 // drainRequest routes one interconnect request into the L2 / memory
 // controller; it is the body of the once-allocated drainFn callback.
 // Marked hotpath explicitly because the call graph cannot follow the
 // drainFn func value from stepMemory.
 //
+// While the L2 has no free MSHR or DRAM no queue slot, only a hit or a
+// merge can be accepted, and a line found to be neither is refused. The
+// interconnect re-offers that same head many times per memory cycle under
+// saturation, so the port remembers the negative answer in freshMiss and
+// later offers of the line are refused without probing the L2. The memo is
+// exact: a line becomes pending only through the fresh-miss branch below,
+// which forgets it on every port; it becomes resident only by a Fill of a
+// pending line, so not without passing that branch first; and launch's L2
+// Flush clears every entry. icnt.Drain sees the same answers as without
+// the memo, so its round-robin pointer and BlockedDeliveries are unchanged.
+//
 //eqlint:hotpath
 func (m *Machine) drainRequest(r icnt.Request) bool {
-	switch {
-	case m.l2.Contains(r.Line):
-		m.l2.Access(r.Line)
-		m.seenMem.L2++
-		m.l2Replies.Push(m.hitDelayPS, r)
-		return true
-	case m.l2.MissPending(r.Line):
-		m.l2.Access(r.Line) // merged
-		m.seenMem.L2++
-		m.addL2Waiter(r)
-		return true
-	case !m.l2.MSHRsFree() || !m.dram.CanAccept():
-		return false // back-pressure: request stays in the network
-	default:
-		m.l2.Access(r.Line) // fresh miss
-		m.seenMem.L2++
-		m.dram.Enqueue(r.Line)
-		m.addL2Waiter(r)
-		return true
+	if !m.l2.MSHRsFree() || !m.dram.CanAccept() {
+		f := &m.freshMiss[r.SM]
+		if f.valid && f.line == r.Line {
+			return false // back-pressure: request stays in the network
+		}
+		if !m.l2.Contains(r.Line) && !m.l2.MissPending(r.Line) {
+			*f = portLine{line: r.Line, valid: true}
+			return false
+		}
 	}
+	m.seenMem.L2++
+	switch m.l2.Access(r.Line) {
+	case cache.Hit:
+		m.l2Replies.Push(m.hitDelayPS, r)
+	case cache.Miss:
+		m.dram.Enqueue(r.Line)
+		for i := range m.freshMiss {
+			if m.freshMiss[i].line == r.Line {
+				m.freshMiss[i].valid = false
+			}
+		}
+		m.addL2Waiter(r)
+	default: // MergedMiss; Reject is impossible with an MSHR free or the line pending
+		m.addL2Waiter(r)
+	}
+	return true
 }
 
-// addL2Waiter records a request awaiting a pending L2 line, reusing a pooled
-// slice for the line's first waiter.
+// addL2Waiter records a request awaiting the L2 miss the last Access
+// allocated or merged into.
 //
 //eqlint:hotpath
 func (m *Machine) addL2Waiter(r icnt.Request) {
-	w, ok := m.l2Waiters[r.Line]
-	if !ok && len(m.l2WaiterPool) > 0 {
-		w = m.l2WaiterPool[len(m.l2WaiterPool)-1]
-		m.l2WaiterPool = m.l2WaiterPool[:len(m.l2WaiterPool)-1]
-	}
-	m.l2Waiters[r.Line] = append(w, r)
+	slot := m.l2.Slot()
+	m.l2Waiters[slot] = append(m.l2Waiters[slot], r)
 }
 
 // --- power attribution ------------------------------------------------------

@@ -137,8 +137,11 @@ func (n *Network) Pending() int {
 
 // Drain delivers up to DrainPerCycle requests to the consumer with
 // round-robin fairness. The consumer returns false to refuse a request
-// (downstream back-pressure); a refused request stays at its FIFO head and
-// that port is skipped for the rest of the cycle.
+// (downstream back-pressure); a refused request stays at its FIFO head. The
+// call visits ports in round-robin order and stops after DrainPerCycle
+// deliveries or after NumSMs consecutive visits that delivered nothing, so a
+// refused port is offered again in the same call once any other port has
+// delivered — the consumer may see one head many times per call.
 func (n *Network) Drain(consume func(Request) bool) {
 	delivered := 0
 	blockedPorts := 0

@@ -1,6 +1,7 @@
 package icnt
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -149,5 +150,43 @@ func TestQuickConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDrainReoffersRefusedPortAfterDelivery pins Drain's stopping rule: a
+// delivery resets the run of non-deliveries, so a refused head is offered
+// again in the same call, and the call ends only after NumSMs consecutive
+// visits deliver nothing (or DrainPerCycle deliveries).
+func TestDrainReoffersRefusedPortAfterDelivery(t *testing.T) {
+	n := MustNew(Config{NumSMs: 3, QueueDepth: 4, DrainPerCycle: 8})
+	n.Push(Request{SM: 0, Line: 0x80})
+	for i := 0; i < 3; i++ {
+		n.Push(Request{SM: 1, Line: cache.Addr(0x100 + 0x80*i)})
+	}
+	var visits []int
+	n.Drain(func(r Request) bool {
+		visits = append(visits, r.SM)
+		return r.SM != 0
+	})
+	// Port 2 is empty and never reaches the consumer; port 0 is refused
+	// again after each of port 1's deliveries, and the call ends after empty
+	// port 2, refused port 0 and drained port 1 deliver nothing in a row.
+	want := []int{0, 1, 0, 1, 0, 1, 0}
+	if fmt.Sprint(visits) != fmt.Sprint(want) {
+		t.Fatalf("consumer saw ports %v, want %v", visits, want)
+	}
+	if s := n.Stats(); s.Delivered != 3 || s.BlockedDeliveries != 4 {
+		t.Fatalf("delivered %d, blocked %d; want 3 and 4", s.Delivered, s.BlockedDeliveries)
+	}
+
+	// With every head accepted, DrainPerCycle ends the call.
+	n = MustNew(Config{NumSMs: 2, QueueDepth: 4, DrainPerCycle: 3})
+	for i := 0; i < 4; i++ {
+		n.Push(Request{SM: i % 2, Line: cache.Addr(0x80 * i)})
+	}
+	calls := 0
+	n.Drain(func(Request) bool { calls++; return true })
+	if calls != 3 || n.Pending() != 1 {
+		t.Fatalf("consumer called %d times leaving %d queued, want 3 and 1", calls, n.Pending())
 	}
 }

@@ -27,6 +27,7 @@ func TestInvariantsCatchCorruption(t *testing.T) {
 		}, "census leak"},
 		{"pausing", func(s *SM) { s.activeBlocks, s.residentBlocks = 0, 1 }, "pausing drift"},
 		{"warp slots", func(s *SM) { s.freeWarpSlots = s.freeWarpSlots[:len(s.freeWarpSlots)-1] }, "warp-slot leak"},
+		{"l1 waiters", func(s *SM) { s.l1Waiters[0] = append(s.l1Waiters[0], 5) }, "L1 waiter leak"},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {

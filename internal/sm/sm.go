@@ -180,12 +180,11 @@ type SM struct {
 	freeWarpSlots []int
 
 	l1 *cache.Cache
-	// l1Waiters maps a missing line to the warp slots awaiting its fill.
-	l1Waiters map[cache.Addr][]int
-	// waiterPool recycles the l1Waiters value slices: DeliverLine returns a
-	// line's slice here and the next miss reuses it, keeping the per-miss
-	// append off the heap in steady state.
-	waiterPool [][]int
+	// l1Waiters lists, per L1 MSHR slot, the warp slots awaiting that
+	// slot's fill. A list is emptied in place when its fill arrives, so its
+	// capacity serves the slot's next miss and the append stays off the
+	// heap in steady state.
+	l1Waiters [][]int
 
 	lsu []lsuEntry
 	// tex is the texture unit's request queue. It is much deeper than the
@@ -267,7 +266,7 @@ func New(cfg config.GPU, index int) *SM {
 		warps:        make([]warpCtx, cfg.MaxWarpsPerSM),
 		blocks:       make([]blockCtx, cfg.MaxBlocksPerSM),
 		l1:           cache.MustNew(cfg.L1),
-		l1Waiters:    make(map[cache.Addr][]int),
+		l1Waiters:    make([][]int, cfg.L1.MSHRs),
 		lsu:          make([]lsuEntry, 0, cfg.LSUQueueDepth),
 		targetBlocks: cfg.MaxBlocksPerSM,
 		wakeQueue:    events.NewCalendar[int](cfg.SMClockPS, wakeCalendarBuckets),
@@ -459,30 +458,33 @@ func (s *SM) LaunchBlock(prof *warp.Profile, globalID, wcta int) {
 // filled and every waiting warp is scheduled to wake at time at.
 func (s *SM) DeliverLine(line cache.Addr, at clock.Time) {
 	s.l1.Fill(line)
+	slot := s.l1.Slot()
 	if s.listener != nil {
 		if victim, ok := s.l1.LastVictim(); ok {
 			s.listener.OnL1Evict(victim)
 		}
 	}
-	waiters := s.l1Waiters[line]
-	delete(s.l1Waiters, line)
-	for _, ws := range waiters {
+	for _, ws := range s.l1Waiters[slot] {
 		s.wakeQueue.Push(int64(at), ws)
 	}
-	if cap(waiters) > 0 {
-		s.waiterPool = append(s.waiterPool, waiters[:0])
-	}
+	s.l1Waiters[slot] = s.l1Waiters[slot][:0]
 }
 
-// addWaiter records a warp slot waiting on a line, reusing a pooled slice
-// for the line's first waiter.
-func (s *SM) addWaiter(line cache.Addr, ws int) {
-	w, ok := s.l1Waiters[line]
-	if !ok && len(s.waiterPool) > 0 {
-		w = s.waiterPool[len(s.waiterPool)-1]
-		s.waiterPool = s.waiterPool[:len(s.waiterPool)-1]
+// addWaiter records warp slot ws waiting on the L1 miss the last Access
+// allocated or merged into.
+func (s *SM) addWaiter(ws int) {
+	slot := s.l1.Slot()
+	s.l1Waiters[slot] = append(s.l1Waiters[slot], ws)
+}
+
+// L1Waiters returns the number of warp entries waiting on L1 fills; zero
+// whenever the SM's L1 has no outstanding miss.
+func (s *SM) L1Waiters() int {
+	n := 0
+	for _, w := range s.l1Waiters {
+		n += len(w)
 	}
-	s.l1Waiters[line] = append(w, ws)
+	return n
 }
 
 // OutboxFull reports whether a miss is stuck waiting for the interconnect.
@@ -820,6 +822,19 @@ func (s *SM) recountInvariants() {
 	invariant.Checkf(cs.Hits+cs.Misses+cs.Merged == cs.Accesses,
 		"sm %d L1 stats leak: hits=%d misses=%d merged=%d accesses=%d",
 		s.index, cs.Hits, cs.Misses, cs.Merged, cs.Accesses)
+
+	// Miss tracking: a Miss adds its first waiter in the same call that
+	// allocates the MSHR and DeliverLine empties the list in the call that
+	// releases it, so exactly the busy slots have waiters.
+	lists := 0
+	for _, w := range s.l1Waiters {
+		if len(w) > 0 {
+			lists++
+		}
+	}
+	invariant.Checkf(lists == s.l1.OutstandingMisses(),
+		"sm %d L1 waiter leak: %d non-empty waiter lists, %d outstanding misses",
+		s.index, lists, s.l1.OutstandingMisses())
 }
 
 // drainQueue advances one memory queue by one line access and reports
@@ -843,12 +858,12 @@ func (s *SM) drainQueue(q *[]lsuEntry, now clock.Time, smPeriod clock.Time) bool
 		s.wakeQueue.Push(int64(now+clock.Time(s.cfg.L1HitLatency)*smPeriod), e.warp)
 	case cache.Miss:
 		s.stats.L1LineAccesses++
-		s.addWaiter(line, e.warp)
+		s.addWaiter(e.warp)
 		s.outbox = MemRequest{SM: s.index, Line: line}
 		s.outboxFull = true
 	case cache.MergedMiss:
 		s.stats.L1LineAccesses++
-		s.addWaiter(line, e.warp)
+		s.addWaiter(e.warp)
 	}
 	e.nextLine++
 	e.linesLeft--
@@ -1084,10 +1099,8 @@ func (s *SM) Reset(resetStats bool) {
 		s.freeWarpSlots = append(s.freeWarpSlots, i)
 	}
 	s.l1.Flush()
-	//eqlint:allow nodeterminism -- recycles waiter slices into a pool; only capacities survive, never order
-	for line, w := range s.l1Waiters {
-		s.waiterPool = append(s.waiterPool, w[:0])
-		delete(s.l1Waiters, line)
+	for i := range s.l1Waiters {
+		s.l1Waiters[i] = s.l1Waiters[i][:0]
 	}
 	s.lsu = s.lsu[:0]
 	s.tex = s.tex[:0]
