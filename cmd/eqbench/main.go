@@ -13,14 +13,10 @@
 // `ablation` (runtime-parameter sweeps), `boost` (GPU-Boost-style
 // power-headroom baseline), `concurrent` (multi-kernel partitioning) and
 // `service` (eqsimd serving-path load benchmark: tail latency, throughput,
-// shed rate, cache hit rate — BENCH_service.json), which are not part of
-// `all`. -service-tune adds a warm pass with the self-tuning controller on;
-// -service-url points the same load harness at an externally running eqsimd
-// (the CI smoke uses this to drive a -tune instance).
-//
-// -check old.json new.json compares two BENCH_service.json files and exits
-// non-zero when the fresh warm-pass p95 regressed more than 25% over the
-// baseline (noise floor -check-min-ms; EQBENCH_SKIP_CHECK=1 skips).
+// shed rate, cache hit rate), which are not part of `all`. -service-tune
+// adds a warm pass with the self-tuning controller on; -service-url points
+// the same load harness at an externally running eqsimd (the CI smoke uses
+// this to drive a -tune instance).
 //
 // -metrics-addr serves the telemetry registry live over HTTP while the run
 // is in progress (/metrics Prometheus text, /metrics.json).
@@ -57,18 +53,11 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
 		metricsAdr = flag.String("metrics-addr", "", "serve the telemetry registry live over HTTP at this address during the run (e.g. 127.0.0.1:9090)")
 	)
-	var (
-		check      = flag.Bool("check", false, "compare two BENCH_service.json files (old new) and fail on a warm-p95 regression")
-		checkMinMS = flag.Float64("check-min-ms", 2.0, "with -check, ignore regressions while both warm p95s are under this many milliseconds")
-	)
 	flag.IntVar(&serviceRequests, "service-requests", 2000, "requests per pass for -exp service")
 	flag.IntVar(&serviceClients, "service-clients", 64, "concurrent clients for -exp service")
 	flag.BoolVar(&serviceTune, "service-tune", false, "add a warm pass with the self-tuning controller on to -exp service")
 	flag.StringVar(&serviceURL, "service-url", "", "drive an externally running eqsimd at this base URL instead of an in-process service (-exp service)")
 	flag.Parse()
-	if *check {
-		os.Exit(runCheck(flag.Args(), *checkMinMS))
-	}
 	stopProfiling, err := telemetry.StartProfiling(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "eqbench: %v\n", err)

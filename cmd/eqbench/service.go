@@ -21,8 +21,8 @@ import (
 // eqsimd service, hammers it with concurrent run and sweep requests from
 // many clients, and reports tail latency, throughput, shed rate and cache
 // hit rate. It runs two passes — cold (empty cache) and warm (a fresh
-// service instance sharing the first pass's cache directory) — so
-// BENCH_service.json tracks both the simulate-and-serve and the
+// service instance sharing the first pass's cache directory) — so the
+// report tracks both the simulate-and-serve and the
 // serve-forever regimes; the warm pass must do zero simulations. With
 // -service-tune a third warm pass runs with the self-tuning controller on
 // (pool starting at its one-worker floor), so the report records the
@@ -79,8 +79,8 @@ type servicePass struct {
 	FinalAdmit   int    `json:"final_admission_limit,omitempty"`
 }
 
-// serviceMeta pins the run's environment and configuration so two
-// BENCH_service.json files can be compared meaningfully (-check).
+// serviceMeta pins the run's environment and configuration, so a report
+// says which host and settings produced its numbers.
 type serviceMeta struct {
 	GoVersion      string  `json:"go_version"`
 	GOMAXPROCS     int     `json:"gomaxprocs"`
@@ -93,7 +93,7 @@ type serviceMeta struct {
 	TuneMaxWorkers int     `json:"tune_max_workers,omitempty"`
 }
 
-// serviceReport is the JSON form of -exp service (BENCH_service.json).
+// serviceReport is the JSON form of -exp service.
 type serviceReport struct {
 	Scale    float64       `json:"scale"`
 	Cells    int           `json:"cells"`

@@ -12,13 +12,6 @@
 // harness — is small. Should the module ever vendor x/tools, the analyzers
 // port mechanically: Run signatures and reporting semantics match.
 //
-// Analyzers come in two shapes. Per-package analyzers implement Run and see
-// one type-checked package at a time. Module analyzers implement RunModule
-// and see every loaded package at once through a Module, which carries a
-// conservative call graph (see callgraph.go) and an exported-facts store —
-// the x/tools Fact idea — so cross-package properties like hot-path
-// allocation-freedom are checkable.
-//
 // # Suppression directives
 //
 //	//eqlint:allow <analyzer>[,<analyzer>...] [-- reason]
@@ -30,16 +23,13 @@
 // should always carry a reason. The errstrict analyzer additionally honours
 // the conventional //nolint:errcheck form. Allow directives naming an
 // unknown analyzer are themselves flagged (a typo would otherwise suppress
-// nothing, silently), and directives that suppressed nothing are reported
-// under eqlint -strict-directives.
+// nothing, silently), and so are directives that suppressed nothing.
 //
-// Four more directives mark blessed code rather than suppressing findings:
+// Three more directives mark blessed code rather than suppressing findings:
 //
 //	//eqlint:cycle-owner   on a function: it may mutate cycle/epoch counters
 //	//eqlint:emitpath      on a function: it is a telemetry emit path and
 //	                       must not allocate
-//	//eqlint:hotpath       on a function: it is a steady-state hot path;
-//	                       allocfree checks everything reachable from it
 //	eqlint:nilsafe         in a type's doc comment: every pointer-receiver
 //	                       method must begin with a receiver nil check
 package analysis
@@ -54,8 +44,7 @@ import (
 )
 
 // Analyzer is one static check. The subset of the x/tools contract used
-// here: a name, documentation, and a Run function invoked once per package —
-// or, for cross-package checks, a RunModule function invoked once per load.
+// here: a name, documentation, and a Run function invoked once per package.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and allow directives.
 	Name string
@@ -63,14 +52,9 @@ type Analyzer struct {
 	Doc string
 	// Scope restricts the analyzer to packages for which it returns true;
 	// nil means every package. The driver applies Scope; tests bypass it.
-	// Module analyzers ignore Scope (their roots are directive-marked).
 	Scope func(pkgPath string) bool
 	// Run analyzes one package and reports findings through the pass.
-	// Exactly one of Run and RunModule is set.
 	Run func(pass *Pass) error
-	// RunModule analyzes every loaded package at once; set for analyzers
-	// that need the cross-package call graph.
-	RunModule func(pass *ModulePass) error
 }
 
 // Pass carries one analyzer's view of one type-checked package.
@@ -127,13 +111,8 @@ func (p *Pass) Inspect(fn func(ast.Node) bool) {
 
 // RunAnalyzer executes one analyzer over a loaded package and returns its
 // diagnostics with suppression directives already applied, sorted by
-// position. A module analyzer is run over a single-package module, which is
-// what the analysistest harness needs; the eqlint driver runs module
-// analyzers once over the whole load via RunModuleAnalyzer instead.
+// position.
 func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	if a.RunModule != nil {
-		return RunModuleAnalyzer(a, NewModule([]*Package{pkg}))
-	}
 	pass := &Pass{
 		Analyzer: a,
 		Fset:     pkg.Fset,
@@ -187,8 +166,8 @@ type allowKey struct {
 // allowDirective is one parsed suppression comment. The used map records
 // which of its analyzer names actually suppressed a finding, feeding the
 // unused-directive report. Usage marking is not synchronized: the driver
-// runs all analyzers for one package on one worker and module analyzers
-// after the join, so a directive is never marked concurrently.
+// runs all analyzers for one package on one worker, so a directive is never
+// marked concurrently.
 type allowDirective struct {
 	file string
 	// line is the line of the comment itself; the directive also covers the
@@ -222,20 +201,6 @@ func (s *allowSet) allows(file string, line int, analyzer string) bool {
 		}
 	}
 	return ok
-}
-
-// merge returns an allowSet covering every package in pkgs, sharing the
-// underlying directives so usage marking feeds the same unused report.
-func mergeAllowSets(pkgs []*Package) *allowSet {
-	merged := &allowSet{byKey: map[allowKey][]*allowDirective{}}
-	for _, pkg := range pkgs {
-		s := pkg.allows()
-		for k, ds := range s.byKey {
-			merged.byKey[k] = append(merged.byKey[k], ds...)
-		}
-		merged.list = append(merged.list, s.list...)
-	}
-	return merged
 }
 
 // collectAllowedLines scans every comment of the package for suppression

@@ -9,7 +9,7 @@ import (
 // All returns every registered analyzer in deterministic order; the eqlint
 // multichecker runs exactly this set.
 func All() []*Analyzer {
-	return []*Analyzer{AllocFree, CycleAccounting, ErrStrict, NoDeterminism, ProbeHygiene}
+	return []*Analyzer{CycleAccounting, ErrStrict, NoDeterminism, ProbeHygiene}
 }
 
 // AllNames returns the set of valid analyzer names, for directive

@@ -18,7 +18,6 @@ var knownDirectiveVerbs = map[string]bool{
 	"allow":       true,
 	"cycle-owner": true,
 	"emitpath":    true,
-	"hotpath":     true,
 	"nilsafe":     true,
 }
 
@@ -29,15 +28,15 @@ var knownDirectiveVerbs = map[string]bool{
 //   - an //eqlint:allow directive naming an unknown analyzer (always
 //     reported — a typo like "nondeterminism" for "nodeterminism" would
 //     otherwise suppress nothing and linger);
-//   - under strict, an allow directive none of whose named analyzers
-//     suppressed anything. Only analyzers that actually ran on the package
-//     (ranNames) count: a directive for an analyzer the driver skipped is
-//     not reported, so partial -analyzers runs stay quiet.
+//   - an allow directive none of whose named analyzers suppressed anything
+//     (an allow orphaned by a deletion). Only analyzers that actually ran
+//     on the package (ranNames) count: a directive for an analyzer the
+//     driver skipped is not reported, so partial -analyzers runs stay quiet.
 //
 // known is the set of valid analyzer names; pass AllNames(). Diagnostics
 // carry the DirectivesName pseudo-analyzer and are themselves suppressible
 // with //eqlint:allow directives (matched under that name).
-func VerifyDirectives(pkg *Package, known map[string]bool, ranNames map[string]bool, strict bool) []Diagnostic {
+func VerifyDirectives(pkg *Package, known map[string]bool, ranNames map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	report := func(file string, line, col int, format string, args ...interface{}) {
 		out = append(out, Diagnostic{
@@ -64,7 +63,7 @@ func VerifyDirectives(pkg *Package, known map[string]bool, ranNames map[string]b
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				report(pos.Filename, pos.Line, pos.Column,
-					"unknown eqlint directive %q (known: allow, cycle-owner, emitpath, hotpath, nilsafe)", verb)
+					"unknown eqlint directive %q (known: allow, cycle-owner, emitpath, nilsafe)", verb)
 			}
 		}
 	}
@@ -82,7 +81,7 @@ func VerifyDirectives(pkg *Package, known map[string]bool, ranNames map[string]b
 					"allow directive names unknown analyzer %q; it suppresses nothing", name)
 				continue
 			}
-			if strict && ranNames[name] && !d.used[name] {
+			if ranNames[name] && !d.used[name] {
 				report(d.file, d.line, 1,
 					"allow directive for %s suppressed nothing; remove it", name)
 			}

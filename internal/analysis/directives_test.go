@@ -21,8 +21,9 @@ func loadTestPkg(t *testing.T, dir string) *Package {
 }
 
 // TestVerifyDirectives covers the three hygiene checks over the directives
-// fixture: unknown verb and unknown analyzer name always report; an unused
-// allow reports only under strict, and only when its analyzer ran.
+// fixture: unknown verbs (a typo and the retired hotpath marker), an unknown
+// analyzer name, and an allow that suppressed nothing, which reports only
+// when its analyzer ran.
 func TestVerifyDirectives(t *testing.T) {
 	pkg := loadTestPkg(t, "directives")
 	known := AllNames()
@@ -37,26 +38,22 @@ func TestVerifyDirectives(t *testing.T) {
 		return n
 	}
 
-	lax := VerifyDirectives(pkg, known, map[string]bool{"errstrict": true}, false)
-	if got := find(lax, `unknown eqlint directive "frobnicate"`); got != 1 {
-		t.Errorf("lax: %d unknown-verb findings, want 1: %v", got, lax)
-	}
-	if got := find(lax, `unknown analyzer "nosuchanalyzer"`); got != 1 {
-		t.Errorf("lax: %d unknown-name findings, want 1: %v", got, lax)
-	}
-	if got := find(lax, "suppressed nothing; remove it"); got != 0 {
-		t.Errorf("lax: %d unused findings, want 0: %v", got, lax)
-	}
-
-	strict := VerifyDirectives(pkg, known, map[string]bool{"errstrict": true}, true)
-	if got := find(strict, "allow directive for errstrict suppressed nothing"); got != 1 {
-		t.Errorf("strict: %d unused findings, want 1: %v", got, strict)
+	diags := VerifyDirectives(pkg, known, map[string]bool{"errstrict": true})
+	for _, want := range []string{
+		`unknown eqlint directive "frobnicate"`,
+		`unknown eqlint directive "hotpath"`,
+		`unknown analyzer "nosuchanalyzer"`,
+		"allow directive for errstrict suppressed nothing",
+	} {
+		if got := find(diags, want); got != 1 {
+			t.Errorf("%d findings matching %q, want 1: %v", got, want, diags)
+		}
 	}
 
-	// strict, but errstrict did not run: the unused check stays quiet.
-	strictSkipped := VerifyDirectives(pkg, known, map[string]bool{}, true)
-	if got := find(strictSkipped, "suppressed nothing; remove it"); got != 0 {
-		t.Errorf("strict without errstrict: %d unused findings, want 0: %v", got, strictSkipped)
+	// errstrict did not run: the unused check stays quiet.
+	skipped := VerifyDirectives(pkg, known, map[string]bool{})
+	if got := find(skipped, "suppressed nothing; remove it"); got != 0 {
+		t.Errorf("without errstrict: %d unused findings, want 0: %v", got, skipped)
 	}
 }
 

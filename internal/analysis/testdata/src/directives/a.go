@@ -1,6 +1,6 @@
 // Package directives is a deliberately unhygienic fixture for
-// VerifyDirectives: an unknown verb, an allow naming a nonexistent
-// analyzer, and an allow that suppresses nothing.
+// VerifyDirectives: an unknown verb, a retired verb, an allow naming a
+// nonexistent analyzer, and an allow that suppresses nothing.
 package directives
 
 // a carries a typo'd directive verb.
@@ -8,6 +8,13 @@ package directives
 //eqlint:frobnicate
 func a() int {
 	return 1
+}
+
+// c carries a marker whose analyzer no longer exists; it must not linger.
+//
+//eqlint:hotpath
+func c() int {
+	return 2
 }
 
 func b() int {

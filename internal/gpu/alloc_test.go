@@ -4,9 +4,11 @@ import (
 	"testing"
 
 	"equalizer/internal/config"
+	"equalizer/internal/core"
 	"equalizer/internal/gpu"
 	"equalizer/internal/invariant"
 	"equalizer/internal/kernels"
+	"equalizer/internal/policy"
 	"equalizer/internal/power"
 )
 
@@ -26,24 +28,39 @@ const allocBudgetPerRun = 64
 // Both issue paths are pinned: the bitset masks and calendar queues must stay
 // allocation-free per cycle, and so must the linear scan (the "legacy" row),
 // which issues whenever a filter is installed or the warp budget exceeds 64.
+// The policy rows cover what cutcp alone does not reach: lbm under Equalizer
+// drives DRAM, the interconnect, L2 waiters and VF changes, and kmn under
+// CCWS drives the scan with an issue filter, the L1 listener and the
+// policy's own per-cycle rebalancing.
 func TestSteadyStateRunAllocations(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("eqdebug invariant checks box Checkf arguments; the allocation budget pins release builds")
 	}
 	for _, tc := range []struct {
-		name string
-		scan bool
+		name   string
+		kernel string
+		grid   int
+		scan   bool
+		policy func() gpu.Policy
 	}{
-		{"fast", false},
-		{"legacy", true},
+		{name: "fast", kernel: "cutcp", grid: 30},
+		{name: "legacy", kernel: "cutcp", grid: 30, scan: true},
+		{name: "lbm-equalizer", kernel: "lbm", policy: func() gpu.Policy { return core.New(core.PerformanceMode) }},
+		{name: "kmn-ccws", kernel: "kmn", policy: func() gpu.Policy { return policy.NewCCWS() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			k, err := kernels.ByName("cutcp")
+			k, err := kernels.ByName(tc.kernel)
 			if err != nil {
 				t.Fatal(err)
 			}
-			k.GridBlocks = 30
-			m := gpu.MustNew(config.Default(), power.Default(), nil)
+			if tc.grid > 0 {
+				k.GridBlocks = tc.grid
+			}
+			var p gpu.Policy
+			if tc.policy != nil {
+				p = tc.policy()
+			}
+			m := gpu.MustNew(config.Default(), power.Default(), p)
 			if tc.scan {
 				useScan(m)
 			}

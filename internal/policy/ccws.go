@@ -1,7 +1,8 @@
 package policy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"equalizer/internal/cache"
 	"equalizer/internal/clock"
@@ -60,6 +61,9 @@ type ccwsSM struct {
 
 	scores  []int
 	allowed []bool
+	// rank is rebalance's ordering scratch, kept so re-ranking every 64
+	// cycles does not allocate.
+	rank []int
 }
 
 func newCCWSSM(parent *CCWS, maxWarps int) *ccwsSM {
@@ -70,11 +74,23 @@ func newCCWSSM(parent *CCWS, maxWarps int) *ccwsSM {
 		ring:    make([]cache.Addr, parent.VictimTags),
 		scores:  make([]int, maxWarps),
 		allowed: make([]bool, maxWarps),
+		rank:    make([]int, maxWarps),
 	}
+	s.reset()
+	return s
+}
+
+// reset returns the detector to its freshly built state, keeping its
+// storage.
+func (s *ccwsSM) reset() {
+	clear(s.owner)
+	clear(s.victims)
+	clear(s.ring)
+	s.ringPos = 0
+	clear(s.scores)
 	for i := range s.allowed {
 		s.allowed[i] = true
 	}
-	return s
 }
 
 // OnL1Access implements sm.L1Listener.
@@ -132,13 +148,13 @@ func (s *ccwsSM) rebalance() {
 		return
 	}
 	// Rank warps by score descending; the bottom `throttled` lose access.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	// The sort is stable, so equal scores keep slot order.
+	for i := range s.rank {
+		s.rank[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return s.scores[idx[a]] > s.scores[idx[b]] })
-	for rank, w := range idx {
-		s.allowed[w] = rank < n-throttled
+	slices.SortStableFunc(s.rank, func(a, b int) int { return cmp.Compare(s.scores[b], s.scores[a]) })
+	for r, w := range s.rank {
+		s.allowed[w] = r < n-throttled
 	}
 }
 
@@ -150,12 +166,22 @@ func (s *ccwsSM) decay() {
 	}
 }
 
-// Reset implements gpu.Policy.
+// Reset implements gpu.Policy. The per-SM detectors are cleared and reused
+// while the SM count, warp slots and victim-array size stay the same.
 func (p *CCWS) Reset(m *gpu.Machine, _ kernels.Kernel) {
-	p.sms = make([]*ccwsSM, m.NumSMs())
+	maxWarps := m.Config().MaxWarpsPerSM
+	reuse := len(p.sms) == m.NumSMs() && len(p.sms) > 0 &&
+		len(p.sms[0].scores) == maxWarps && len(p.sms[0].ring) == p.VictimTags
+	if !reuse {
+		p.sms = make([]*ccwsSM, m.NumSMs())
+	}
 	for i := range p.sms {
-		s := newCCWSSM(p, m.Config().MaxWarpsPerSM)
-		p.sms[i] = s
+		if reuse {
+			p.sms[i].reset()
+		} else {
+			p.sms[i] = newCCWSSM(p, maxWarps)
+		}
+		s := p.sms[i]
 		m.SM(i).SetL1Listener(s)
 		m.SM(i).SetIssueFilter(s.filter)
 	}

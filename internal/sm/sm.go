@@ -518,7 +518,6 @@ func (s *SM) Idle() bool {
 // latencies expressed in SM cycles into absolute times.
 //
 //eqlint:cycle-owner
-//eqlint:hotpath
 func (s *SM) Step(now clock.Time, smPeriod clock.Time) {
 	s.nowPS = int64(now)
 	s.stats.Cycles++
