@@ -183,51 +183,32 @@ func BenchmarkSimulatorCyclesPerSecond(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
 }
 
-// benchmarkEngine runs one kernel to completion on the selected SM issue path
-// and reports simulated SM cycles per wall second. The bitset/scan pairs
-// below are the cycle-engine smoke benchmarks CI tracks (`go run ./bench`
-// holds the full-scale numbers as gpu.run_ns_per_cycle).
-func benchmarkEngine(b *testing.B, kernel string, scan bool) {
-	k, err := kernels.ByName(kernel)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var cycles int64
-	for i := 0; i < b.N; i++ {
-		m := gpu.MustNew(config.Default(), power.Default(), core.New(core.EnergyMode))
-		if scan {
-			for i := 0; i < m.NumSMs(); i++ {
-				m.SM(i).SetFastIssue(false)
-			}
-		}
-		for inv := 0; inv < k.Invocations; inv++ {
-			res, err := m.RunKernel(k, inv)
+// BenchmarkEngine runs one compute-bound kernel (cutcp saturates the ALU
+// pipes) and one memory-bound kernel (lbm stalls on DRAM) to completion
+// under Equalizer and reports simulated SM cycles per wall second: the
+// cycle-engine smoke benchmark CI tracks (`go run ./bench` holds the
+// full-scale numbers as gpu.run_ns_per_cycle).
+func BenchmarkEngine(b *testing.B) {
+	for _, kernel := range []string{"cutcp", "lbm"} {
+		b.Run(kernel, func(b *testing.B) {
+			k, err := kernels.ByName(kernel)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cycles += res.SMCycles
-		}
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
-}
-
-// BenchmarkEngine measures the two SM issue paths on one compute-bound
-// kernel (cutcp saturates the ALU pipes) and one memory-bound kernel (lbm
-// stalls on DRAM): bitset is what production runs, scan is the linear
-// reference the differential suite compares against. The ratio reproduces
-// README's 3.7x / 2.7x.
-func BenchmarkEngine(b *testing.B) {
-	for _, kernel := range []string{"cutcp", "lbm"} {
-		for _, issue := range []struct {
-			name string
-			scan bool
-		}{{"bitset", false}, {"scan", true}} {
-			b.Run(kernel+"/"+issue.name, func(b *testing.B) {
-				benchmarkEngine(b, kernel, issue.scan)
-			})
-		}
+			b.ReportAllocs()
+			var cycles int64
+			for i := 0; i < b.N; i++ {
+				m := gpu.MustNew(config.Default(), power.Default(), core.New(core.EnergyMode))
+				for inv := 0; inv < k.Invocations; inv++ {
+					res, err := m.RunKernel(k, inv)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cycles += res.SMCycles
+				}
+			}
+			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
+		})
 	}
 }
 

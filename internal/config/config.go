@@ -67,6 +67,10 @@ func (l VFLevel) Multiplier(modulation float64) float64 {
 	}
 }
 
+// MaxWarpsPerSMLimit bounds MaxWarpsPerSM: the SM's warp scheduler keeps one
+// bit per warp slot in a 64-bit word.
+const MaxWarpsPerSMLimit = 64
+
 // GPU collects every architectural parameter of the simulated machine.
 type GPU struct {
 	// NumSMs is the number of streaming multiprocessors (15 for GTX480).
@@ -75,7 +79,8 @@ type GPU struct {
 	PEsPerSM int
 	// MaxBlocksPerSM is the hardware limit of resident thread blocks.
 	MaxBlocksPerSM int
-	// MaxWarpsPerSM is the hardware limit of resident warps (48 on Fermi).
+	// MaxWarpsPerSM is the hardware limit of resident warps (48 on Fermi),
+	// at most MaxWarpsPerSMLimit.
 	MaxWarpsPerSM int
 	// WarpSize is the number of threads per warp.
 	WarpSize int
@@ -226,6 +231,9 @@ func (g GPU) Validate() error {
 		return fmt.Errorf("config: MaxBlocksPerSM must be positive, got %d", g.MaxBlocksPerSM)
 	case g.MaxWarpsPerSM <= 0:
 		return fmt.Errorf("config: MaxWarpsPerSM must be positive, got %d", g.MaxWarpsPerSM)
+	case g.MaxWarpsPerSM > MaxWarpsPerSMLimit:
+		return fmt.Errorf("config: MaxWarpsPerSM %d exceeds the %d-warp limit",
+			g.MaxWarpsPerSM, MaxWarpsPerSMLimit)
 	case g.ALUIssuePerCycle <= 0 || g.MemIssuePerCycle <= 0:
 		return fmt.Errorf("config: issue widths must be positive (alu=%d mem=%d)",
 			g.ALUIssuePerCycle, g.MemIssuePerCycle)

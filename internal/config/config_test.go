@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -120,6 +121,29 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		tc.mutate(&g)
 		if err := g.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid config", tc.name)
+		}
+	}
+}
+
+// TestMaxWarpsPerSMLimit pins the warp-slot cap at the scheduler's 64-bit
+// masks, through both Validate and the -set override path.
+func TestMaxWarpsPerSMLimit(t *testing.T) {
+	for _, tc := range []struct {
+		warps int
+		ok    bool
+	}{{48, true}, {64, true}, {65, false}, {96, false}} {
+		g := Default()
+		g.MaxWarpsPerSM = tc.warps
+		err := g.Validate()
+		g2, e := Default(), DefaultEqualizer()
+		setErr := ApplyOverrides(&g2, &e, fmt.Sprintf("maxwarpspersm=%d", tc.warps))
+		for _, err := range []error{err, setErr} {
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("MaxWarpsPerSM=%d rejected: %v", tc.warps, err)
+			case !tc.ok && (err == nil || !strings.Contains(err.Error(), "64-warp limit")):
+				t.Errorf("MaxWarpsPerSM=%d: error %v, want one naming the 64-warp limit", tc.warps, err)
+			}
 		}
 	}
 }

@@ -614,12 +614,3 @@ func (h *Harness) BestStaticBlocks(k kernels.Kernel) (int, Totals) {
 	}
 	return best, bestT
 }
-
-// KernelNames returns the kernels in presentation order (by category).
-func KernelNames() []string {
-	var names []string
-	for _, k := range kernels.All() {
-		names = append(names, k.Name)
-	}
-	return names
-}

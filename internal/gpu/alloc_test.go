@@ -25,28 +25,26 @@ const allocBudgetPerRun = 64
 // spirit of telemetry's TestDisabledEmitIsAllocationFree: before the waiter
 // pools and the hoisted drain callbacks, a run this size allocated ~5x the
 // budget, dominated by per-miss outbox pointers and waiter-slice appends.
-// Both issue paths are pinned: the bitset masks and calendar queues must stay
-// allocation-free per cycle, and so must the linear scan (the "legacy" row),
-// which issues whenever a filter is installed or the warp budget exceeds 64.
+// The bitset masks and calendar queues must stay allocation-free per cycle.
 // The policy rows cover what cutcp alone does not reach: lbm under Equalizer
 // drives DRAM, the interconnect, L2 waiters and VF changes, and kmn under
-// CCWS drives the scan with an issue filter, the L1 listener and the
-// policy's own per-cycle rebalancing.
+// CCWS drives the memory-issue mask, the L1 listener and the policy's own
+// rebalancing, which must run at least minCycles/64 times per run.
 func TestSteadyStateRunAllocations(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("eqdebug invariant checks box Checkf arguments; the allocation budget pins release builds")
 	}
 	for _, tc := range []struct {
-		name   string
-		kernel string
-		grid   int
-		scan   bool
-		policy func() gpu.Policy
+		name      string
+		kernel    string
+		grid      int
+		minCycles int64
+		policy    func() gpu.Policy
 	}{
 		{name: "fast", kernel: "cutcp", grid: 30},
-		{name: "legacy", kernel: "cutcp", grid: 30, scan: true},
 		{name: "lbm-equalizer", kernel: "lbm", policy: func() gpu.Policy { return core.New(core.PerformanceMode) }},
-		{name: "kmn-ccws", kernel: "kmn", policy: func() gpu.Policy { return policy.NewCCWS() }},
+		{name: "kmn-ccws", kernel: "kmn", grid: 30, minCycles: 100 * 64,
+			policy: func() gpu.Policy { return policy.NewCCWS() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k, err := kernels.ByName(tc.kernel)
@@ -61,12 +59,13 @@ func TestSteadyStateRunAllocations(t *testing.T) {
 				p = tc.policy()
 			}
 			m := gpu.MustNew(config.Default(), power.Default(), p)
-			if tc.scan {
-				useScan(m)
-			}
 			// Warm up: first run grows the pools, wake queues and stat buffers.
-			if _, err := m.RunKernel(k, 0); err != nil {
+			res, err := m.RunKernel(k, 0)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if res.SMCycles < tc.minCycles {
+				t.Fatalf("run lasts %d SM cycles, want at least %d", res.SMCycles, tc.minCycles)
 			}
 			n := testing.AllocsPerRun(3, func() {
 				if _, err := m.RunKernel(k, 0); err != nil {

@@ -457,7 +457,7 @@ func (m *Machine) launch(tasks []Task) (runStart, error) {
 	for i, s := range m.sms {
 		s.Reset(false)
 		s.SetTargetBlocks(m.partitionOf(i).maxRes)
-		s.SetIssueFilter(nil)
+		s.SetMemIssueMask(^uint64(0))
 		s.SetL1Listener(nil)
 	}
 	m.l2.Flush()

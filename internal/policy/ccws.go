@@ -59,8 +59,10 @@ type ccwsSM struct {
 	ring    []cache.Addr
 	ringPos int
 
-	scores  []int
-	allowed []bool
+	scores []int
+	// allowed holds the warp slots permitted to issue memory instructions,
+	// published to the SM as its memory-issue mask.
+	allowed uint64
 	// rank is rebalance's ordering scratch, kept so re-ranking every 64
 	// cycles does not allocate.
 	rank []int
@@ -73,7 +75,6 @@ func newCCWSSM(parent *CCWS, maxWarps int) *ccwsSM {
 		victims: make(map[cache.Addr]int, parent.VictimTags),
 		ring:    make([]cache.Addr, parent.VictimTags),
 		scores:  make([]int, maxWarps),
-		allowed: make([]bool, maxWarps),
 		rank:    make([]int, maxWarps),
 	}
 	s.reset()
@@ -88,9 +89,7 @@ func (s *ccwsSM) reset() {
 	clear(s.ring)
 	s.ringPos = 0
 	clear(s.scores)
-	for i := range s.allowed {
-		s.allowed[i] = true
-	}
+	s.allowed = ^uint64(0)
 }
 
 // OnL1Access implements sm.L1Listener.
@@ -126,9 +125,6 @@ func (s *ccwsSM) OnL1Evict(line cache.Addr) {
 	s.victims[line] = owner
 }
 
-// filter implements the memory-issue veto.
-func (s *ccwsSM) filter(warpSlot int) bool { return s.allowed[warpSlot] }
-
 // rebalance recomputes the allowed set: total score shrinks the number of
 // warps permitted to issue loads; the highest-scoring warps keep access.
 func (s *ccwsSM) rebalance() {
@@ -142,9 +138,7 @@ func (s *ccwsSM) rebalance() {
 		throttled = n - 1
 	}
 	if throttled == 0 {
-		for i := range s.allowed {
-			s.allowed[i] = true
-		}
+		s.allowed = ^uint64(0)
 		return
 	}
 	// Rank warps by score descending; the bottom `throttled` lose access.
@@ -153,8 +147,9 @@ func (s *ccwsSM) rebalance() {
 		s.rank[i] = i
 	}
 	slices.SortStableFunc(s.rank, func(a, b int) int { return cmp.Compare(s.scores[b], s.scores[a]) })
-	for r, w := range s.rank {
-		s.allowed[w] = r < n-throttled
+	s.allowed = 0
+	for _, w := range s.rank[:n-throttled] {
+		s.allowed |= 1 << uint(w)
 	}
 }
 
@@ -183,7 +178,7 @@ func (p *CCWS) Reset(m *gpu.Machine, _ kernels.Kernel) {
 		}
 		s := p.sms[i]
 		m.SM(i).SetL1Listener(s)
-		m.SM(i).SetIssueFilter(s.filter)
+		m.SM(i).SetMemIssueMask(s.allowed)
 	}
 }
 
@@ -195,8 +190,9 @@ func (p *CCWS) OnSMCycle(m *gpu.Machine, _ clock.Time, smCycle int64) {
 		}
 	}
 	if smCycle%64 == 0 {
-		for _, s := range p.sms {
+		for i, s := range p.sms {
 			s.rebalance()
+			m.SM(i).SetMemIssueMask(s.allowed)
 		}
 	}
 }

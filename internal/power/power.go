@@ -189,16 +189,3 @@ func (m *Meter) Energy() Breakdown {
 	}
 	return b
 }
-
-// MeanPower returns average power in watts over the accumulated wall time
-// (taken from the SM-side residency, which covers the whole run).
-func (m *Meter) MeanPower() float64 {
-	var t int64
-	for l := range m.sm {
-		t += m.sm[l].TimePS
-	}
-	if t == 0 {
-		return 0
-	}
-	return m.Energy().Total() / (float64(t) * psToS)
-}

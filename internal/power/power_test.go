@@ -104,21 +104,6 @@ func TestBreakdownTotalSumsComponents(t *testing.T) {
 	}
 }
 
-func TestMeanPower(t *testing.T) {
-	m := NewMeter(Default())
-	if m.MeanPower() != 0 {
-		t.Fatal("mean power of empty meter should be 0")
-	}
-	m.AccumulateSM(config.VFNormal, SMTotals{TimePS: 1e12})
-	m.AccumulateMem(config.VFNormal, MemTotals{TimePS: 1e12})
-	p := m.MeanPower()
-	// Leakage + mem clock + standby only: 41.9 + 18 + 11.
-	want := 41.9 + 18 + 11
-	if math.Abs(p-want) > 1e-6 {
-		t.Fatalf("idle mean power = %g, want %g", p, want)
-	}
-}
-
 func TestReset(t *testing.T) {
 	m := NewMeter(Default())
 	m.AccumulateSM(config.VFNormal, SMTotals{ALU: 100, TimePS: 1e9})

@@ -155,10 +155,15 @@ type lsuEntry struct {
 	nextLine int
 }
 
-// IssueFilter lets a policy (e.g. CCWS) veto memory issue for specific warp
-// slots. Returning false keeps the warp out of the ready-memory pool for the
-// cycle without counting it as Xmem back-pressure.
-type IssueFilter func(warpSlot int) bool
+// schedMasks are the bitset scheduler's warp sets, bit i for warp slot i.
+type schedMasks struct {
+	// valid: valid && !finished. paused: block paused. barrier: atBarrier.
+	// pending: pendingLines > 0. gap: now < readyAt as of the last gapQueue
+	// pop.
+	valid, paused, barrier, pending, gap uint64
+	// alu, mem, tex and barExit classify fetched head instructions.
+	alu, mem, tex, barExit uint64
+}
 
 // L1Listener observes L1 activity; CCWS uses it for locality scoring.
 type L1Listener interface {
@@ -199,7 +204,7 @@ type SM struct {
 	outboxFull bool
 	// wakeQueue schedules warp wake-ups (load returns, L1 hit latency);
 	// gapQueue schedules dependency-gap expiries so the bitset scheduler can
-	// keep gapMask current without re-checking readyAt per warp per cycle.
+	// keep masks.gap current without re-checking readyAt per warp per cycle.
 	// Both are calendar queues: PopReady is O(delivered), and the wake/gap
 	// handlers are commutative so within-bucket insertion order is safe.
 	wakeQueue *events.Calendar[int]
@@ -209,34 +214,25 @@ type SM struct {
 	wakeFn func(int)
 	gapFn  func(int)
 
-	// Bitset scheduler state. fastIssue enables the mask-based issue path
-	// (requires MaxWarpsPerSM <= 64); masksDirty forces a recount from the
-	// per-slot state before the next fast issue — set by every mutation the
-	// incremental updates do not model (block launch, pausing, the linear
-	// scan's mid-cycle barrier/exit processing).
-	fastIssue  bool
+	// masks is the bitset scheduler state; masksDirty forces a recount from
+	// the per-slot state before the next issue — set by every mutation the
+	// incremental updates do not model (block launch, pausing).
+	masks      schedMasks
 	masksDirty bool
-	// validMask: valid && !finished. pausedMask: block paused. barrierMask:
-	// atBarrier. pendingMask: pendingLines > 0. gapMask: now < readyAt as of
-	// the last gapQueue pop. cur*Mask classify fetched head instructions.
-	validMask      uint64
-	pausedMask     uint64
-	barrierMask    uint64
-	pendingMask    uint64
-	gapMask        uint64
-	curALUMask     uint64
-	curMEMMask     uint64
-	curTEXMask     uint64
-	curBarExitMask uint64
+	// memIssueMask holds the warp slots allowed to issue to the memory
+	// pipeline; a policy (CCWS) clears bits to throttle warps.
+	memIssueMask uint64
+	// refIssue, when set, replaces issueFast. Only tests set it, to run the
+	// linear-scan reference the bitset path is checked against.
+	refIssue func(now, smPeriod clock.Time)
 
 	// targetBlocks is the concurrency ceiling set by the running policy;
 	// resident unpaused blocks never exceed it.
 	targetBlocks int
 
-	// rrALU / rrMEM rotate issue priority for fairness.
-	rrALU, rrMEM int
+	// rrALU rotates issue priority for fairness.
+	rrALU int
 
-	filter   IssueFilter
 	listener L1Listener
 
 	// probe is the telemetry bus (nil = disabled, free); nowPS tracks the
@@ -258,8 +254,13 @@ type SM struct {
 // rarer far-future wakes spill to the calendar's overflow heap.
 const wakeCalendarBuckets = 256
 
-// New builds an SM with the given index.
+// New builds an SM with the given index. It panics when the configuration
+// has more warp slots than the scheduler masks hold.
 func New(cfg config.GPU, index int) *SM {
+	if cfg.MaxWarpsPerSM > config.MaxWarpsPerSMLimit {
+		panic(fmt.Sprintf("sm: %d warp slots exceed the %d-warp limit",
+			cfg.MaxWarpsPerSM, config.MaxWarpsPerSMLimit))
+	}
 	s := &SM{
 		cfg:          cfg,
 		index:        index,
@@ -271,8 +272,8 @@ func New(cfg config.GPU, index int) *SM {
 		targetBlocks: cfg.MaxBlocksPerSM,
 		wakeQueue:    events.NewCalendar[int](cfg.SMClockPS, wakeCalendarBuckets),
 		gapQueue:     events.NewCalendar[int](cfg.SMClockPS, wakeCalendarBuckets),
-		fastIssue:    cfg.MaxWarpsPerSM <= 64,
 		masksDirty:   true,
+		memIssueMask: ^uint64(0),
 	}
 	for i := cfg.MaxWarpsPerSM - 1; i >= 0; i-- {
 		s.freeWarpSlots = append(s.freeWarpSlots, i)
@@ -282,19 +283,6 @@ func New(cfg config.GPU, index int) *SM {
 	return s
 }
 
-// SetFastIssue enables or disables the bitset issue path; disabling it makes
-// the per-cycle linear scan — the reference the differential tests compare
-// against — issue every cycle. Enabling is ignored when the hardware
-// configuration exceeds the 64-slot mask width. Call between runs, not
-// mid-invocation.
-func (s *SM) SetFastIssue(enabled bool) {
-	s.fastIssue = enabled && s.cfg.MaxWarpsPerSM <= 64
-	s.masksDirty = true
-}
-
-// FastIssueEnabled reports whether the bitset issue path is active.
-func (s *SM) FastIssueEnabled() bool { return s.fastIssue }
-
 // wakeWarp is the wakeQueue PopReady handler: one outstanding line (or the
 // dependency stand-in pushed by an L1 hit) arrived for the warp.
 func (s *SM) wakeWarp(ws int) {
@@ -302,7 +290,7 @@ func (s *SM) wakeWarp(ws int) {
 	if w.valid && w.pendingLines > 0 {
 		w.pendingLines--
 		if w.pendingLines == 0 && !s.masksDirty {
-			s.pendingMask &^= 1 << uint(ws)
+			s.masks.pending &^= 1 << uint(ws)
 		}
 	}
 }
@@ -316,7 +304,7 @@ func (s *SM) expireGap(ws int) {
 	}
 	w := &s.warps[ws]
 	if w.valid && !w.finished && clock.Time(s.nowPS) >= w.readyAt {
-		s.gapMask &^= 1 << uint(ws)
+		s.masks.gap &^= 1 << uint(ws)
 	}
 }
 
@@ -332,8 +320,10 @@ func (s *SM) Stats() Stats { return s.stats }
 // Snapshot returns the warp-state census of the last completed cycle.
 func (s *SM) Snapshot() Snapshot { return s.snap }
 
-// SetIssueFilter installs (or clears, with nil) a memory-issue veto.
-func (s *SM) SetIssueFilter(f IssueFilter) { s.filter = f }
+// SetMemIssueMask sets the warp slots allowed to issue to the memory
+// pipeline (bit i for slot i; all ones lifts every veto). A vetoed ready
+// warp counts as waiting, not as Xmem back-pressure.
+func (s *SM) SetMemIssueMask(m uint64) { s.memIssueMask = m }
 
 // SetL1Listener installs (or clears, with nil) an L1 activity observer.
 func (s *SM) SetL1Listener(l L1Listener) { s.listener = l }
@@ -527,9 +517,7 @@ func (s *SM) Step(now clock.Time, smPeriod clock.Time) {
 
 	// 1. Wake warps whose data or dependency gap arrived.
 	s.wakeQueue.PopReady(int64(now), s.wakeFn)
-	if s.fastIssue {
-		s.gapQueue.PopReady(int64(now), s.gapFn)
-	}
+	s.gapQueue.PopReady(int64(now), s.gapFn)
 
 	// 2. Drain the LSU head into the L1 (one line access per cycle); the
 	// texture queue shares the L1 port on cycles the LSU leaves it idle.
@@ -537,19 +525,11 @@ func (s *SM) Step(now clock.Time, smPeriod clock.Time) {
 		s.drainQueue(&s.tex, now, smPeriod)
 	}
 
-	// 3. Issue: classify warps, pick one ALU and one MEM candidate. The
-	// bitset path handles the common cycle; it bails to the linear scan for
-	// the order-dependent cases (barrier/exit heads, an installed issue
-	// filter), which leaves the masks dirty for a recount.
-	if s.fastIssue && s.filter == nil {
-		if s.masksDirty {
-			s.recomputeMasks(now)
-		}
-		if !s.issueFast(now, smPeriod) {
-			s.issue(now, smPeriod)
-		}
+	// 3. Issue: classify warps, pick one ALU, one MEM and one TEX candidate.
+	if s.refIssue != nil {
+		s.refIssue(now, smPeriod)
 	} else {
-		s.issue(now, smPeriod)
+		s.issueFast(now, smPeriod)
 	}
 
 	if invariant.Enabled {
@@ -560,45 +540,48 @@ func (s *SM) Step(now clock.Time, smPeriod clock.Time) {
 // recomputeMasks rebuilds every scheduler mask from the authoritative
 // per-slot state, at census time `now`. Warps whose readyAt lies in the
 // future already have a gapQueue entry (pushed when readyAt was written), so
-// the rebuilt gapMask bits will be cleared on schedule.
+// the rebuilt gap bits will be cleared on schedule.
 func (s *SM) recomputeMasks(now clock.Time) {
-	var valid, paused, barrier, pending, gap, alu, mem, tex, barExit uint64
+	var m schedMasks
 	for i := range s.warps {
 		w := &s.warps[i]
 		if !w.valid || w.finished {
 			continue
 		}
 		bit := uint64(1) << uint(i)
-		valid |= bit
+		m.valid |= bit
 		if s.blocks[w.block].paused {
-			paused |= bit
+			m.paused |= bit
 		}
 		if w.atBarrier {
-			barrier |= bit
+			m.barrier |= bit
 		}
 		if w.pendingLines > 0 {
-			pending |= bit
+			m.pending |= bit
 		}
 		if now < w.readyAt {
-			gap |= bit
+			m.gap |= bit
 		}
 		if w.hasCur {
-			switch w.cur.Kind {
-			case warp.ALU, warp.SFU:
-				alu |= bit
-			case warp.MEM:
-				mem |= bit
-			case warp.TEX:
-				tex |= bit
-			default:
-				barExit |= bit
-			}
+			m.classify(bit, w.cur.Kind)
 		}
 	}
-	s.validMask, s.pausedMask, s.barrierMask = valid, paused, barrier
-	s.pendingMask, s.gapMask = pending, gap
-	s.curALUMask, s.curMEMMask, s.curTEXMask, s.curBarExitMask = alu, mem, tex, barExit
+	s.masks = m
 	s.masksDirty = false
+}
+
+// classify adds bit to the head-class set of an instruction of kind k.
+func (m *schedMasks) classify(bit uint64, k warp.Kind) {
+	switch k {
+	case warp.ALU, warp.SFU:
+		m.alu |= bit
+	case warp.MEM:
+		m.mem |= bit
+	case warp.TEX:
+		m.tex |= bit
+	default:
+		m.barExit |= bit
+	}
 }
 
 // firstFromRR returns the lowest-index set bit of mask at or after the
@@ -614,61 +597,88 @@ func (s *SM) firstFromRR(mask uint64) int {
 	return bits.TrailingZeros64(mask)
 }
 
-// fetchHeads pulls the next instruction for every ready warp without one, in
-// round-robin scan order, classifying each into the cur*Mask sets. It stops
-// and reports false at the first barrier or exit head: processing those
-// mutates mid-scan state (block-wide barrier release, block completion and
-// unpausing) that only the linear scan models, and every warp fetched so far
-// is exactly what the linear scan would have fetched before reaching it.
-func (s *SM) fetchHeads(toFetch uint64) bool {
-	hi := toFetch >> uint(s.rrALU) << uint(s.rrALU)
-	lo := toFetch &^ (^uint64(0) << uint(s.rrALU))
-	for _, m := range [2]uint64{hi, lo} {
-		for m != 0 {
-			ws := bits.TrailingZeros64(m)
-			m &= m - 1
-			w := &s.warps[ws]
-			w.cur = w.stream.Next()
-			w.hasCur = true
-			bit := uint64(1) << uint(ws)
-			switch w.cur.Kind {
-			case warp.ALU, warp.SFU:
-				s.curALUMask |= bit
-			case warp.MEM:
-				s.curMEMMask |= bit
-			case warp.TEX:
-				s.curTEXMask |= bit
-			default:
-				s.curBarExitMask |= bit
-				return false
-			}
-		}
+// rotationBefore returns the warp slots a scan starting at the round-robin
+// origin rrALU visits before slot h.
+func (s *SM) rotationBefore(h int) uint64 {
+	below := uint64(1)<<uint(h) - 1
+	fromRR := ^uint64(0) << uint(s.rrALU)
+	if h >= s.rrALU {
+		return below & fromRR
 	}
-	return true
+	return below | fromRR
 }
 
-// issueFast is the bitset issue path: census by popcount, candidate selection
-// by find-first-set. It reports false — leaving all per-slot mutations it
-// made consistent — when the cycle needs the linear scan.
-func (s *SM) issueFast(now clock.Time, smPeriod clock.Time) bool {
-	active := s.validMask &^ s.pausedMask
-	ready := active &^ (s.barrierMask | s.pendingMask | s.gapMask)
-	if toFetch := ready &^ (s.curALUMask | s.curMEMMask | s.curTEXMask | s.curBarExitMask); toFetch != 0 {
-		if !s.fetchHeads(toFetch) {
-			return false
-		}
+// fetchHeads pulls the next instruction for every warp in toFetch and
+// classifies it. The order does not matter: each stream is private to its
+// warp.
+func (s *SM) fetchHeads(toFetch uint64) {
+	for m := toFetch; m != 0; m &= m - 1 {
+		ws := bits.TrailingZeros64(m)
+		w := &s.warps[ws]
+		w.cur = w.stream.Next()
+		w.hasCur = true
+		s.masks.classify(1<<uint(ws), w.cur.Kind)
 	}
-	if ready&s.curBarExitMask != 0 {
-		return false
+}
+
+// issueFast is the issue stage: census by popcount, candidate selection by
+// find-first-set in round-robin order from rrALU. A ready warp whose head is
+// a barrier or an exit splits the rotation there: the slots before it are
+// recorded as the rotation saw them, its arrival or exit is applied (which
+// may release the barrier, complete the block and unpause another), the
+// masks are rebuilt, and the slots after it are read from the new state.
+// That is the order in which a per-warp scan meets those mutations. Two
+// facts let the census and the selection run once, over the union: applying
+// a head never makes a ready warp unready or changes its fetched head (a
+// release touches only warps at the barrier, a completed block holds only
+// finished warps, completion only unpauses), and each stream is private to
+// its warp, so every ready head can be fetched up front.
+func (s *SM) issueFast(now clock.Time, smPeriod clock.Time) {
+	if s.masksDirty {
+		s.recomputeMasks(now)
+	}
+	m := &s.masks
+	// active, others and ready are the slots the rotation counted as
+	// active, at a barrier and ready when it reached them.
+	var active, others, ready uint64
+	left := ^uint64(0) // slots the rotation has not reached yet
+	for {
+		a := (m.valid &^ m.paused) & left
+		r := a &^ (m.barrier | m.pending | m.gap)
+		if toFetch := r &^ (m.alu | m.mem | m.tex | m.barExit); toFetch != 0 {
+			s.fetchHeads(toFetch)
+		}
+		heads := r & m.barExit
+		if heads == 0 {
+			active, others, ready = active|a, others|a&m.barrier, ready|r
+			break
+		}
+		head := s.firstFromRR(heads)
+		before := s.rotationBefore(head)
+		bit := uint64(1) << uint(head)
+		active |= a & before
+		others |= a & before & m.barrier
+		ready |= r & before
+		if s.warps[head].cur.Kind == warp.BAR {
+			// The arriving warp counts as active and at the barrier.
+			active |= bit
+			others |= bit
+			s.arriveBarrier(head, now)
+		} else {
+			s.finishWarp(head)
+		}
+		s.recomputeMasks(now)
+		left &^= before | bit
 	}
 
-	snap := Snapshot{Active: bits.OnesCount64(active)}
-	snap.Others = bits.OnesCount64(active & s.barrierMask)
+	snap := Snapshot{Active: bits.OnesCount64(active), Others: bits.OnesCount64(others)}
 	snap.Waiting = snap.Active - snap.Others - bits.OnesCount64(ready)
 
-	readyALUm := ready & s.curALUMask
-	readyMEMm := ready & s.curMEMMask
-	readyTEXm := ready & s.curTEXMask
+	readyALUm := ready & m.alu
+	readyMEMm := ready & m.mem & s.memIssueMask
+	readyTEXm := ready & m.tex
+	// A vetoed memory warp counts as waiting, not as Xmem.
+	snap.Waiting += bits.OnesCount64(ready&m.mem) - bits.OnesCount64(readyMEMm)
 	readyALU := bits.OnesCount64(readyALUm)
 	readyMEM := bits.OnesCount64(readyMEMm)
 	bestALU := s.firstFromRR(readyALUm)
@@ -688,7 +698,6 @@ func (s *SM) issueFast(now clock.Time, smPeriod clock.Time) bool {
 	}
 
 	s.finishIssue(now, smPeriod, snap, bestALU, bestMEM, bestTEX, readyALU, readyMEM)
-	return true
 }
 
 // verifyInvariants asserts the SM conservation laws at a cycle boundary.
@@ -762,56 +771,21 @@ func (s *SM) recountInvariants() {
 		"sm %d warp-slot leak: %d valid + %d free != %d slots",
 		s.index, validWarps, len(s.freeWarpSlots), s.cfg.MaxWarpsPerSM)
 
-	// Fast-path mask conservation: clean scheduler bitsets must equal a
-	// recount from the authoritative slot state. gapMask is only checked
-	// for containment — its exact value depends on the current cycle time,
-	// and stale bits are re-validated against readyAt when they pop.
-	if s.fastIssue && !s.masksDirty {
-		var valid, paused, barrier, pending, alu, mem, tex, barExit uint64
-		for i := range s.warps {
-			w := &s.warps[i]
-			if !w.valid || w.finished {
-				continue
-			}
-			bit := uint64(1) << uint(i)
-			valid |= bit
-			if s.blocks[w.block].paused {
-				paused |= bit
-			}
-			if w.atBarrier {
-				barrier |= bit
-			}
-			if w.pendingLines > 0 {
-				pending |= bit
-			}
-			if w.hasCur {
-				switch w.cur.Kind {
-				case warp.ALU, warp.SFU:
-					alu |= bit
-				case warp.MEM:
-					mem |= bit
-				case warp.TEX:
-					tex |= bit
-				default:
-					barExit |= bit
-				}
-			}
-		}
-		invariant.Checkf(valid == s.validMask,
-			"sm %d validMask drift: cached %#x, recount %#x", s.index, s.validMask, valid)
-		invariant.Checkf(paused == s.pausedMask,
-			"sm %d pausedMask drift: cached %#x, recount %#x", s.index, s.pausedMask, paused)
-		invariant.Checkf(barrier == s.barrierMask,
-			"sm %d barrierMask drift: cached %#x, recount %#x", s.index, s.barrierMask, barrier)
-		invariant.Checkf(pending == s.pendingMask,
-			"sm %d pendingMask drift: cached %#x, recount %#x", s.index, s.pendingMask, pending)
-		invariant.Checkf(alu == s.curALUMask && mem == s.curMEMMask &&
-			tex == s.curTEXMask && barExit == s.curBarExitMask,
-			"sm %d head-class mask drift: cached alu=%#x mem=%#x tex=%#x barexit=%#x, recount %#x/%#x/%#x/%#x",
-			s.index, s.curALUMask, s.curMEMMask, s.curTEXMask, s.curBarExitMask,
-			alu, mem, tex, barExit)
-		invariant.Checkf(s.gapMask&^valid == 0,
-			"sm %d gapMask escapes valid warps: gap=%#x valid=%#x", s.index, s.gapMask, valid)
+	// Scheduler mask conservation: clean bitsets must equal a recount from
+	// the authoritative slot state. The gap set is only checked for
+	// containment — its exact value depends on the current cycle time, and
+	// stale bits are re-validated against readyAt when they pop. The cached
+	// masks are restored, so checking never changes what the SM does.
+	if !s.masksDirty {
+		cached := s.masks
+		s.recomputeMasks(clock.Time(s.nowPS))
+		recount := s.masks
+		s.masks = cached
+		invariant.Checkf(cached.gap&^recount.valid == 0,
+			"sm %d gap mask escapes valid warps: gap=%#x valid=%#x", s.index, cached.gap, recount.valid)
+		cached.gap, recount.gap = 0, 0
+		invariant.Checkf(cached == recount,
+			"sm %d scheduler mask drift: cached %+v, recount %+v", s.index, cached, recount)
 	}
 
 	// L1 accounting: every demand access resolves to exactly one outcome.
@@ -873,85 +847,14 @@ func (s *SM) drainQueue(q *[]lsuEntry, now clock.Time, smPeriod clock.Time) bool
 	return true
 }
 
-func (s *SM) issue(now clock.Time, smPeriod clock.Time) {
-	// The linear scan's mid-cycle mutations (barrier arrival, block
-	// completion and the unpausing it triggers) are not tracked
-	// incrementally: leave the masks dirty for the next fast-path recount.
-	s.masksDirty = true
-	snap := Snapshot{}
-	n := len(s.warps)
-	bestALU, bestMEM, bestTEX := -1, -1, -1
-	lsuSpace := len(s.lsu) < s.cfg.LSUQueueDepth
-	texSpace := len(s.tex) < TexQueueDepth
-	readyALU, readyMEM := 0, 0
-
-	for off := 0; off < n; off++ {
-		ws := (s.rrALU + off) % n
-		w := &s.warps[ws]
-		if !w.valid || w.finished {
-			continue
-		}
-		if s.blocks[w.block].paused {
-			continue
-		}
-		snap.Active++
-		if w.atBarrier {
-			snap.Others++
-			continue
-		}
-		if w.pendingLines > 0 || now < w.readyAt {
-			snap.Waiting++
-			continue
-		}
-		if !w.hasCur {
-			w.cur = w.stream.Next()
-			w.hasCur = true
-		}
-		switch w.cur.Kind {
-		case warp.ALU, warp.SFU:
-			readyALU++
-			if bestALU < 0 {
-				bestALU = ws
-			}
-		case warp.MEM:
-			if s.filter != nil && !s.filter(ws) {
-				// Policy-throttled warp: counts as waiting, not Xmem.
-				snap.Waiting++
-				continue
-			}
-			readyMEM++
-			if bestMEM < 0 && lsuSpace {
-				bestMEM = ws
-			}
-		case warp.TEX:
-			// Texture requests never surface as Xmem: an unissued ready
-			// texture warp is indistinguishable from a waiting one.
-			if bestTEX < 0 && texSpace {
-				bestTEX = ws
-			} else {
-				snap.Waiting++
-			}
-		case warp.BAR:
-			s.arriveBarrier(ws, now)
-			snap.Others++
-		case warp.EXIT:
-			s.finishWarp(ws)
-			snap.Active--
-		}
-	}
-
-	s.finishIssue(now, smPeriod, snap, bestALU, bestMEM, bestTEX, readyALU, readyMEM)
-}
-
 // finishIssue commits the selected candidates, updates the round-robin
-// origins, completes the census snapshot and emits telemetry — the issue tail
-// shared by the linear scan and the bitset path. Mask maintenance is skipped
-// while masksDirty (the next fast cycle recounts anyway), but gapQueue
-// entries are pushed at every readyAt write regardless, so a recount never
-// needs to reconstruct the queue.
+// origin, completes the census snapshot and emits telemetry — the issue tail
+// shared with the linear-scan reference. Mask maintenance is skipped while
+// masksDirty (the next issue recounts anyway), but gapQueue entries are
+// pushed at every readyAt write regardless, so a recount never needs to
+// reconstruct the queue.
 func (s *SM) finishIssue(now clock.Time, smPeriod clock.Time, snap Snapshot,
 	bestALU, bestMEM, bestTEX, readyALU, readyMEM int) {
-	n := len(s.warps)
 	issued := 0
 	if bestALU >= 0 {
 		w := &s.warps[bestALU]
@@ -965,18 +868,18 @@ func (s *SM) finishIssue(now clock.Time, smPeriod clock.Time, snap Snapshot,
 		s.probe.Emit(int64(now), telemetry.KindWarpIssue, int16(s.index), int64(bestALU), pipe)
 		w.readyAt = now + clock.Time(w.cur.Gap)*smPeriod
 		w.hasCur = false
-		if s.fastIssue && w.readyAt > now {
+		if w.readyAt > now {
 			s.gapQueue.Push(int64(w.readyAt), bestALU)
 			if !s.masksDirty {
-				s.gapMask |= 1 << uint(bestALU)
+				s.masks.gap |= 1 << uint(bestALU)
 			}
 		}
 		if !s.masksDirty {
-			s.curALUMask &^= 1 << uint(bestALU)
+			s.masks.alu &^= 1 << uint(bestALU)
 		}
 		issued++
 		readyALU--
-		s.rrALU = (bestALU + 1) % n
+		s.rrALU = (bestALU + 1) % len(s.warps)
 	}
 	if bestMEM >= 0 {
 		w := &s.warps[bestMEM]
@@ -991,12 +894,11 @@ func (s *SM) finishIssue(now clock.Time, smPeriod clock.Time, snap Snapshot,
 			int64(bestMEM), telemetry.PipeMEM)
 		w.hasCur = false
 		if !s.masksDirty {
-			s.curMEMMask &^= 1 << uint(bestMEM)
-			s.pendingMask |= 1 << uint(bestMEM)
+			s.masks.mem &^= 1 << uint(bestMEM)
+			s.masks.pending |= 1 << uint(bestMEM)
 		}
 		issued++
 		readyMEM--
-		s.rrMEM = (bestMEM + 1) % n
 	}
 	if bestTEX >= 0 {
 		w := &s.warps[bestTEX]
@@ -1011,8 +913,8 @@ func (s *SM) finishIssue(now clock.Time, smPeriod clock.Time, snap Snapshot,
 			int64(bestTEX), telemetry.PipeTEX)
 		w.hasCur = false
 		if !s.masksDirty {
-			s.curTEXMask &^= 1 << uint(bestTEX)
-			s.pendingMask |= 1 << uint(bestTEX)
+			s.masks.tex &^= 1 << uint(bestTEX)
+			s.masks.pending |= 1 << uint(bestTEX)
 		}
 		issued++
 	}
@@ -1044,9 +946,7 @@ func (s *SM) arriveBarrier(ws int, now clock.Time) {
 			ow.atBarrier = false
 			ow.hasCur = false
 			ow.readyAt = now + 1
-			if s.fastIssue {
-				s.gapQueue.Push(int64(now+1), other)
-			}
+			s.gapQueue.Push(int64(now+1), other)
 		}
 	}
 	b.barWaiting = 0
@@ -1108,7 +1008,7 @@ func (s *SM) Reset(resetStats bool) {
 	s.gapQueue.Reset()
 	s.masksDirty = true
 	s.targetBlocks = s.cfg.MaxBlocksPerSM
-	s.rrALU, s.rrMEM = 0, 0
+	s.rrALU = 0
 	s.residentBlocks, s.activeBlocks, s.liveWarps = 0, 0, 0
 	s.snap = Snapshot{}
 	if resetStats {

@@ -220,6 +220,8 @@ func TestWantsBlockHonoursWarpSlots(t *testing.T) {
 	}
 }
 
+// TestIssueFilterThrottlesMemory checks the memory-issue mask: a vetoed warp
+// never issues to the LSU and is counted as waiting, not as Xmem.
 func TestIssueFilterThrottlesMemory(t *testing.T) {
 	s := New(testCfg(), 0)
 	prof := &warp.Profile{
@@ -227,7 +229,7 @@ func TestIssueFilterThrottlesMemory(t *testing.T) {
 		Phases:    []warp.Phase{{Insts: 8, MemEvery: 1, Pattern: warp.Streaming}},
 	}
 	s.LaunchBlock(prof, 0, 4)
-	s.SetIssueFilter(func(warpSlot int) bool { return false }) // veto all
+	s.SetMemIssueMask(0) // veto all
 	now := clock.Time(0)
 	for c := 0; c < 50; c++ {
 		now += period
@@ -236,7 +238,10 @@ func TestIssueFilterThrottlesMemory(t *testing.T) {
 	if got := s.Stats().IssuedMEM; got != 0 {
 		t.Fatalf("issued %d memory instructions under a full veto", got)
 	}
-	s.SetIssueFilter(nil)
+	if snap := s.Snapshot(); snap.Waiting != 4 || snap.XMEM != 0 {
+		t.Fatalf("census under a full veto = %+v, want 4 waiting and no Xmem", snap)
+	}
+	s.SetMemIssueMask(^uint64(0))
 	now += period
 	s.Step(now, period)
 	if got := s.Stats().IssuedMEM; got != 1 {
@@ -360,6 +365,17 @@ func TestLaunchWithoutCapacityPanics(t *testing.T) {
 	for b := 0; b < 9; b++ {
 		s.LaunchBlock(prof, b, 6)
 	}
+}
+
+func TestNewPanicsBeyondTheWarpLimit(t *testing.T) {
+	cfg := testCfg()
+	cfg.MaxWarpsPerSM = config.MaxWarpsPerSMLimit + 1
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted more warp slots than the scheduler masks hold")
+		}
+	}()
+	New(cfg, 0)
 }
 
 func TestStateString(t *testing.T) {

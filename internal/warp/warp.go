@@ -250,9 +250,6 @@ func (s *Stream) Init(prof *Profile, globalID int) {
 // Done reports whether the stream has emitted EXIT.
 func (s *Stream) Done() bool { return s.done }
 
-// PC returns the number of instructions emitted so far.
-func (s *Stream) PC() int { return s.pc }
-
 // Phase returns the index of the phase the next instruction belongs to, or
 // len(Phases) when the stream is exhausted.
 func (s *Stream) Phase() int { return s.phase }
