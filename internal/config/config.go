@@ -123,14 +123,6 @@ type GPU struct {
 	// completed 128-byte DRAM requests at nominal frequency; it encodes the
 	// aggregate board bandwidth.
 	DRAMServiceInterval int
-	// DRAMBanks selects the banked FR-FCFS controller when positive; zero
-	// keeps the flat bandwidth-gate model the evaluation is calibrated on.
-	DRAMBanks int
-	// DRAMRowBytes is the per-bank row-buffer size (banked model only).
-	DRAMRowBytes int
-	// DRAMRowMissInterval is the bus occupancy of a row-buffer miss in
-	// memory cycles; row hits use DRAMServiceInterval (banked model only).
-	DRAMRowMissInterval int
 
 	// SMClockPS is the nominal SM clock period in picoseconds.
 	SMClockPS int64
@@ -254,26 +246,8 @@ func (g GPU) Validate() error {
 	case g.DRAMServiceInterval <= 0:
 		return fmt.Errorf("config: DRAMServiceInterval must be positive, got %d",
 			g.DRAMServiceInterval)
-	case g.DRAMBanks < 0:
-		return fmt.Errorf("config: DRAMBanks must be non-negative, got %d", g.DRAMBanks)
-	case g.DRAMBanks > 0 && (g.DRAMRowBytes <= 0 || g.DRAMRowBytes&(g.DRAMRowBytes-1) != 0):
-		return fmt.Errorf("config: banked DRAM needs a power-of-two DRAMRowBytes, got %d",
-			g.DRAMRowBytes)
-	case g.DRAMBanks > 0 && g.DRAMRowMissInterval < g.DRAMServiceInterval:
-		return fmt.Errorf("config: DRAMRowMissInterval (%d) must be >= DRAMServiceInterval (%d)",
-			g.DRAMRowMissInterval, g.DRAMServiceInterval)
 	}
 	return nil
-}
-
-// WithBankedDRAM returns a copy of g using the banked FR-FCFS memory
-// controller with GDDR5-flavoured parameters: 16 banks, 2 KiB rows, row
-// hits at the flat model's burst rate and a 4x penalty for row misses.
-func WithBankedDRAM(g GPU) GPU {
-	g.DRAMBanks = 16
-	g.DRAMRowBytes = 2048
-	g.DRAMRowMissInterval = 4 * g.DRAMServiceInterval
-	return g
 }
 
 // Validate reports a descriptive error when the runtime parameters are not

@@ -39,6 +39,7 @@ func TestApplyOverridesErrors(t *testing.T) {
 		{"numsms=0", "must be positive"},                      // fails GPU validation
 		{"epochcycles=100", "multiple of SampleInterval"},     // fails Equalizer validation
 		{"numsms=99999999999999999999", "value out of range"}, // huge literal
+		{"drambanks=16", "unknown override key"},              // rejected, not ignored
 	}
 	for _, tc := range cases {
 		g, e := Default(), DefaultEqualizer()

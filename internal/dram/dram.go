@@ -143,12 +143,6 @@ func (c *Controller) Enqueue(line cache.Addr) bool {
 	return true
 }
 
-// QueueLen returns the number of queued (not yet in-service) requests.
-func (c *Controller) QueueLen() int { return len(c.queue) }
-
-// Pending returns queued plus in-service requests.
-func (c *Controller) Pending() int { return len(c.queue) + len(c.inService) }
-
 // Step advances the controller to memory cycle `now` (monotonically
 // increasing, one call per cycle) and returns the line addresses whose data
 // transfer completed this cycle, in completion order. The returned slice is
@@ -211,9 +205,6 @@ func (c *Controller) SkipIdle(first, n int64) {
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Controller) Stats() Stats { return c.stats }
-
-// ResetStats clears statistics without disturbing queue contents.
-func (c *Controller) ResetStats() { c.stats = Stats{} }
 
 // Drain reports whether the controller holds no work at all.
 func (c *Controller) Drained() bool { return len(c.queue) == 0 && len(c.inService) == 0 }

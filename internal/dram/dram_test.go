@@ -82,13 +82,19 @@ func TestQueueFullRejects(t *testing.T) {
 	if c.Stats().Rejected != 1 {
 		t.Fatalf("rejected = %d, want 1", c.Stats().Rejected)
 	}
-	// Draining one slot re-opens the queue.
-	var cycle int64
-	for ; c.QueueLen() == 4; cycle++ {
-		c.Step(cycle)
-	}
+	// Starting service on the head frees one slot and re-opens the queue.
+	c.Step(0)
 	if !c.CanAccept() {
 		t.Fatal("queue still full after service began")
+	}
+	if !c.Enqueue(0x9a) {
+		t.Fatal("enqueue rejected after service began")
+	}
+	if c.CanAccept() || c.Enqueue(0x9b) {
+		t.Fatal("queue accepted a request beyond its depth of 4")
+	}
+	if c.Stats().Rejected != 2 {
+		t.Fatalf("rejected = %d, want 2", c.Stats().Rejected)
 	}
 }
 
@@ -135,16 +141,6 @@ func TestIdleUtilizationZero(t *testing.T) {
 	}
 	if u := c.Stats().Utilization(); u != 0 {
 		t.Fatalf("idle utilization = %g, want 0", u)
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	c := MustNew(cfg())
-	c.Enqueue(0x80)
-	c.Step(0)
-	c.ResetStats()
-	if s := c.Stats(); s.Enqueued != 0 || s.StepCycles != 0 {
-		t.Fatalf("stats after reset = %+v", s)
 	}
 }
 

@@ -24,36 +24,6 @@ import (
 	"equalizer/internal/warp"
 )
 
-// memController abstracts the two DRAM models (flat bandwidth gate and
-// banked FR-FCFS); both live in package dram.
-type memController interface {
-	CanAccept() bool
-	Enqueue(line cache.Addr) bool
-	Step(now int64) []cache.Addr
-	Drained() bool
-	Stats() dram.Stats
-	SetProbe(b *telemetry.Bus, now func() int64)
-}
-
-// newMemController selects the DRAM model from the configuration.
-func newMemController(cfg config.GPU) memController {
-	if cfg.DRAMBanks > 0 {
-		return dram.MustNewBanked(dram.BankedConfig{
-			Banks:           cfg.DRAMBanks,
-			RowBytes:        cfg.DRAMRowBytes,
-			QueueDepth:      cfg.DRAMQueueDepth,
-			RowHitInterval:  cfg.DRAMServiceInterval,
-			RowMissInterval: cfg.DRAMRowMissInterval,
-			Latency:         cfg.DRAMLatency,
-		})
-	}
-	return dram.MustNew(dram.Config{
-		QueueDepth:      cfg.DRAMQueueDepth,
-		ServiceInterval: cfg.DRAMServiceInterval,
-		Latency:         cfg.DRAMLatency,
-	})
-}
-
 // Policy tunes the machine at runtime. Implementations must be deterministic.
 type Policy interface {
 	// Name identifies the policy in experiment output.
@@ -109,7 +79,7 @@ type Machine struct {
 	sms  []*sm.SM
 	l2   *cache.Cache
 	net  *icnt.Network
-	dram memController
+	dram *dram.Controller
 	// l2Waiters lists, per L2 MSHR slot, the SM requests awaiting that
 	// slot's fill; a list is emptied in place when the fill arrives.
 	l2Waiters [][]icnt.Request
@@ -172,7 +142,11 @@ func New(cfg config.GPU, pcfg power.Config, policy Policy) (*Machine, error) {
 			QueueDepth:    cfg.ICNTQueueDepth,
 			DrainPerCycle: 10,
 		}),
-		dram:         newMemController(cfg),
+		dram: dram.MustNew(dram.Config{
+			QueueDepth:      cfg.DRAMQueueDepth,
+			ServiceInterval: cfg.DRAMServiceInterval,
+			Latency:         cfg.DRAMLatency,
+		}),
 		l2Waiters:    make([][]icnt.Request, cfg.L2.MSHRs),
 		freshMiss:    make([]portLine, cfg.NumSMs),
 		meter:        power.NewMeter(pcfg),

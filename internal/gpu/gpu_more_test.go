@@ -150,60 +150,3 @@ func TestTextureKernelEndToEnd(t *testing.T) {
 		t.Fatalf("leuko-1 DRAM util = %.2f, want bandwidth-bound", res.DRAMUtil)
 	}
 }
-
-func TestBankedDRAMOption(t *testing.T) {
-	cfg := config.WithBankedDRAM(config.Default())
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(cfg, power.Default(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warp streams interleave at the controller, so even sequential
-	// per-warp traffic pays row misses between warps: the banked model is
-	// slower than the flat gate, bounded by the row-miss penalty (4x).
-	res, err := m.RunKernel(smallKernel(t, "lbm", 105), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat := newMachine(t)
-	base, err := flat.RunKernel(smallKernel(t, "lbm", 105), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(res.TimePS) / float64(base.TimePS)
-	if ratio < 1.0 || ratio > 4.5 {
-		t.Fatalf("banked/flat time ratio = %.2f, want within the row-miss penalty envelope", ratio)
-	}
-
-	// A divergent kernel scatters across rows and must pay row misses:
-	// slower on the banked model than the flat one.
-	mB, _ := New(cfg, power.Default(), nil)
-	divB, err := mB.RunKernel(smallKernel(t, "kmn", 30), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mF := newMachine(t)
-	divF, err := mF.RunKernel(smallKernel(t, "kmn", 30), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if divB.TimePS <= divF.TimePS {
-		t.Fatalf("scattered kernel on banked DRAM (%d ps) not slower than flat (%d ps)",
-			divB.TimePS, divF.TimePS)
-	}
-}
-
-func TestConfigRejectsBadBankedDRAM(t *testing.T) {
-	g := config.Default()
-	g.DRAMBanks = 8 // missing row size
-	if err := g.Validate(); err == nil {
-		t.Fatal("banked config without RowBytes accepted")
-	}
-	g = config.WithBankedDRAM(config.Default())
-	g.DRAMRowMissInterval = 0
-	if err := g.Validate(); err == nil {
-		t.Fatal("row-miss interval below service interval accepted")
-	}
-}

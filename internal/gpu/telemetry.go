@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 
-	"equalizer/internal/dram"
 	"equalizer/internal/telemetry"
 )
 
@@ -100,13 +99,6 @@ func (m *Machine) Collect(reg *telemetry.Registry) {
 		part).Set(ds.Utilization())
 	reg.Gauge("eq_dram_mean_queue_depth", "average queued requests per cycle",
 		part).Set(ds.MeanQueueDepth())
-	if banked, ok := m.dram.(*dram.Banked); ok {
-		bs := banked.BankedStats()
-		reg.Counter("eq_dram_row_accesses_total", "FR-FCFS row-buffer outcomes",
-			telemetry.Labels{"partition": "0", "result": "hit"}).Set(bs.RowHits)
-		reg.Counter("eq_dram_row_accesses_total", "FR-FCFS row-buffer outcomes",
-			telemetry.Labels{"partition": "0", "result": "miss"}).Set(bs.RowMisses)
-	}
 
 	reg.Gauge("eq_vf_level", "effective VF level ordinal (0=low 1=normal 2=high)",
 		telemetry.Labels{"domain": "sm"}).Set(float64(m.smDomain.Level()))

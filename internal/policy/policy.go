@@ -79,11 +79,10 @@ type Monitor struct {
 	SampleInterval int
 	EpochCycles    int
 
-	sums    StateSums
-	series  []EpochPoint
-	acc     StateSums
-	accN    int
-	samples int
+	sums   StateSums
+	series []EpochPoint
+	acc    StateSums
+	accN   int
 }
 
 // StateSums accumulates census sums across samples and SMs.
@@ -111,7 +110,6 @@ func (p *Monitor) Reset(*gpu.Machine, kernels.Kernel) {
 	p.series = p.series[:0]
 	p.acc = StateSums{}
 	p.accN = 0
-	p.samples = 0
 }
 
 // OnSMCycle implements gpu.Policy.
@@ -135,7 +133,6 @@ func (p *Monitor) OnSMCycle(m *gpu.Machine, _ clock.Time, smCycle int64) {
 	p.sums.XALU += s.XALU
 	p.sums.XMEM += s.XMEM
 	p.sums.Others += s.Others
-	p.samples++
 
 	p.acc.Active += s.Active
 	p.acc.Waiting += s.Waiting
@@ -170,16 +167,6 @@ func (p *Monitor) Distribution() (waiting, issued, xalu, xmem float64) {
 		float64(p.sums.Issued) / total,
 		float64(p.sums.XALU) / total,
 		float64(p.sums.XMEM) / total
-}
-
-// MeanCounts returns the mean per-sample, per-SM warp counts in each state.
-func (p *Monitor) MeanCounts(numSMs int) (active, waiting, xalu, xmem float64) {
-	if p.samples == 0 {
-		return 0, 0, 0, 0
-	}
-	n := float64(p.samples * numSMs)
-	return float64(p.sums.Active) / n, float64(p.sums.Waiting) / n,
-		float64(p.sums.XALU) / n, float64(p.sums.XMEM) / n
 }
 
 // Series returns the per-epoch time series.

@@ -291,9 +291,6 @@ func WriteChromeTrace(w io.Writer, events []Event, opts ChromeOptions) error {
 		case KindICNTQueue:
 			counter("icnt queue", e.TimePS, smPID(e.Src), 0,
 				map[string]any{"depth": e.A})
-		case KindDRAMRowMiss:
-			instant(fmt.Sprintf("row miss bank %d", e.Src), "dram", e.TimePS,
-				machinePID, tidVFMem+1+int(e.Src), map[string]any{"row": e.B})
 		}
 	}
 

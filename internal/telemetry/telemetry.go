@@ -75,13 +75,6 @@ const (
 	// KindICNTStall records a push rejected by a full FIFO. Src is the SM;
 	// A is the FIFO depth (the configured queue capacity).
 	KindICNTStall
-	// KindDRAMRowHit records an FR-FCFS request serviced from the open row.
-	// Src is the bank; A is the line address; B is the row id.
-	KindDRAMRowHit
-	// KindDRAMRowMiss records a bank conflict: a request that had to close
-	// the open row (precharge+activate). Src is the bank; A is the line;
-	// B is the row id.
-	KindDRAMRowMiss
 	// KindDRAMReject records an Enqueue attempt that found the controller
 	// queue full. Src is -1; A is the line address.
 	KindDRAMReject
@@ -130,8 +123,6 @@ var kindNames = [...]string{
 	KindL2Evict:       "l2_evict",
 	KindICNTQueue:     "icnt_queue",
 	KindICNTStall:     "icnt_stall",
-	KindDRAMRowHit:    "dram_row_hit",
-	KindDRAMRowMiss:   "dram_row_miss",
 	KindDRAMReject:    "dram_reject",
 }
 
@@ -160,11 +151,10 @@ var MaskSpans = MaskOf(
 )
 
 // MaskMemory enables the memory-system kinds (cache probes, interconnect
-// depth, DRAM rows). High volume.
+// depth and stalls, DRAM queue rejects). High volume.
 var MaskMemory = MaskOf(
 	KindL1Access, KindL1Evict, KindL2Access, KindL2Evict,
-	KindICNTQueue, KindICNTStall,
-	KindDRAMRowHit, KindDRAMRowMiss, KindDRAMReject,
+	KindICNTQueue, KindICNTStall, KindDRAMReject,
 )
 
 // Has reports whether the mask includes k.
@@ -177,7 +167,7 @@ type Event struct {
 	TimePS int64
 	// A and B are kind-specific payload words.
 	A, B int64
-	// Src is the emitting unit: an SM index, bank, partition or domain
+	// Src is the emitting unit: an SM index, partition or domain
 	// ordinal; -1 for machine-global events.
 	Src int16
 	// Kind is the event type.
