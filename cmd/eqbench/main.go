@@ -11,12 +11,8 @@
 // Experiments: table1 table2 table3 fig1 fig2a fig2b fig4 fig5 fig7 fig8
 // fig9 fig10 fig11a fig11b summary all, plus the extension studies
 // `ablation` (runtime-parameter sweeps), `boost` (GPU-Boost-style
-// power-headroom baseline), `concurrent` (multi-kernel partitioning) and
-// `service` (eqsimd serving-path load benchmark: tail latency, throughput,
-// shed rate, cache hit rate), which are not part of `all`. -service-tune
-// adds a warm pass with the self-tuning controller on; -service-url points
-// the same load harness at an externally running eqsimd (the CI smoke uses
-// this to drive a -tune instance).
+// power-headroom baseline) and `concurrent` (multi-kernel partitioning),
+// which are not part of `all`.
 //
 // -metrics-addr serves the telemetry registry live over HTTP while the run
 // is in progress (/metrics Prometheus text, /metrics.json).
@@ -45,7 +41,7 @@ func main() {
 	var (
 		expName    = flag.String("exp", "summary", "experiment id or 'all'")
 		scale      = flag.Float64("scale", 1.0, "grid-size scale factor (0,1]")
-		asJSON     = flag.Bool("json", false, "emit JSON instead of text (fig7, fig8, fig10, summary, boost, service)")
+		asJSON     = flag.Bool("json", false, "emit JSON instead of text (fig7, fig8, fig10, summary, boost)")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		cacheDir   = flag.String("cache-dir", ".eqcache", "persistent result-cache directory")
 		noCache    = flag.Bool("no-cache", false, "disable the persistent result cache")
@@ -53,10 +49,6 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
 		metricsAdr = flag.String("metrics-addr", "", "serve the telemetry registry live over HTTP at this address during the run (e.g. 127.0.0.1:9090)")
 	)
-	flag.IntVar(&serviceRequests, "service-requests", 2000, "requests per pass for -exp service")
-	flag.IntVar(&serviceClients, "service-clients", 64, "concurrent clients for -exp service")
-	flag.BoolVar(&serviceTune, "service-tune", false, "add a warm pass with the self-tuning controller on to -exp service")
-	flag.StringVar(&serviceURL, "service-url", "", "drive an externally running eqsimd at this base URL instead of an in-process service (-exp service)")
 	flag.Parse()
 	stopProfiling, err := telemetry.StartProfiling(*cpuprofile, *memprofile)
 	if err != nil {
@@ -68,7 +60,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "eqbench: %v\n", err)
 		}
 	}()
-	servicePar = *parallel
 	reg := telemetry.NewRegistry()
 	h, err := newHarness(*scale, *parallel, *cacheDir, *noCache, reg)
 	if err != nil {
@@ -89,10 +80,12 @@ func main() {
 		}()
 	}
 	if *asJSON {
-		if err := runJSON(h, *expName, *scale); err != nil {
+		start := time.Now()
+		if err := runJSON(h, *expName); err != nil {
 			fmt.Fprintf(os.Stderr, "eqbench: %v\n", err)
 			os.Exit(1)
 		}
+		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs]\n", *expName, time.Since(start).Seconds())
 		printStats(h)
 		return
 	}
@@ -104,7 +97,7 @@ func main() {
 	}
 	for _, name := range names {
 		start := time.Now()
-		out, err := run(h, strings.TrimSpace(name), *scale)
+		out, err := run(h, strings.TrimSpace(name))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "eqbench: %s: %v\n", name, err)
 			os.Exit(1)
@@ -146,14 +139,8 @@ func printStats(h *exp.Harness) {
 		st.CacheMisses, st.CacheStores, st.CacheErrors)
 }
 
-func run(h *exp.Harness, name string, scale float64) (string, error) {
+func run(h *exp.Harness, name string) (string, error) {
 	switch name {
-	case "service":
-		rep, err := serviceBench(scale, serviceRequests, serviceClients, servicePar)
-		if err != nil {
-			return "", err
-		}
-		return renderService(rep), nil
 	case "table1":
 		return h.Table1(), nil
 	case "table2":
@@ -247,23 +234,11 @@ func run(h *exp.Harness, name string, scale float64) (string, error) {
 	}
 }
 
-// summaryReport is the JSON form of -exp summary: the headline numbers plus
-// the scheduler counters and wall time, so CI can track the perf trajectory
-// (BENCH_parallel.json).
-type summaryReport struct {
-	Summary     exp.Summary        `json:"summary"`
-	ElapsedSec  float64            `json:"elapsed_sec"`
-	Parallelism int                `json:"parallelism"`
-	Scheduler   exp.SchedulerStats `json:"scheduler"`
-}
-
 // runJSON emits the structured form of the data-bearing experiments.
-func runJSON(h *exp.Harness, name string, scale float64) error {
+func runJSON(h *exp.Harness, name string) error {
 	var v interface{}
 	var err error
 	switch name {
-	case "service":
-		v, err = serviceBench(scale, serviceRequests, serviceClients, servicePar)
 	case "fig7":
 		v, err = h.Figure7()
 	case "fig8":
@@ -271,16 +246,7 @@ func runJSON(h *exp.Harness, name string, scale float64) error {
 	case "fig10":
 		v, err = h.Figure10()
 	case "summary":
-		start := time.Now()
-		var s exp.Summary
-		if s, err = h.Summarize(); err == nil {
-			v = summaryReport{
-				Summary:     s,
-				ElapsedSec:  time.Since(start).Seconds(),
-				Parallelism: h.Parallelism(),
-				Scheduler:   h.SchedulerStats(),
-			}
-		}
+		v, err = h.Summarize()
 	case "boost":
 		v, err = h.BoostComparison()
 	default:

@@ -10,7 +10,7 @@ import (
 func TestRunDispatchesTables(t *testing.T) {
 	h := exp.New(exp.Options{GridScale: 0.2})
 	for _, name := range []string{"table1", "table2", "table3"} {
-		out, err := run(h, name, 0.02)
+		out, err := run(h, name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -22,14 +22,14 @@ func TestRunDispatchesTables(t *testing.T) {
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
 	h := exp.New(exp.Options{GridScale: 0.2})
-	if _, err := run(h, "fig99", 1); err == nil {
+	if _, err := run(h, "fig99"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRunSmallFigure(t *testing.T) {
 	h := exp.New(exp.Options{GridScale: 0.2})
-	out, err := run(h, "fig5", 0.02)
+	out, err := run(h, "fig5")
 	if err != nil {
 		t.Fatal(err)
 	}

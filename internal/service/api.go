@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"equalizer/internal/config"
@@ -123,6 +124,16 @@ func (r RunSpec) resolve() (cell, error) {
 		return cell{}, fmt.Errorf("unknown policy %q", r.Policy)
 	}
 	return cell{kernel: k, setup: setup}, nil
+}
+
+// count is the number of cells the sweep expands to, saturating at
+// math.MaxInt, computed without expanding it.
+func (sw SweepSpec) count() int {
+	perKernel := max(1, len(sw.Setups))
+	if len(sw.Kernels) > (math.MaxInt-len(sw.Runs))/perKernel {
+		return math.MaxInt
+	}
+	return len(sw.Kernels)*perKernel + len(sw.Runs)
 }
 
 // cells expands a sweep into its resolved run cells, in submission order.

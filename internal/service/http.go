@@ -135,16 +135,10 @@ func (s *Service) writeError(w http.ResponseWriter, tr *activeTrace, status int,
 	return status, err
 }
 
-// admitRequest runs the shared admission path for n cells: capacity check
-// (413 — a request larger than the whole queue can never be admitted, so
-// retrying is pointless), drain refusal (503), then queue-bound shedding
-// (429). ok=false means the response has been written.
+// admitRequest runs the shared admission path for n cells: drain refusal
+// (503), then queue-bound shedding (429). ok=false means the response has
+// been written.
 func (s *Service) admitRequest(w http.ResponseWriter, tr *activeTrace, n int) (int, error, bool) {
-	if cap := s.admitCap.Load(); int64(n) > cap {
-		st, err := s.writeError(w, tr, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request needs %d run cells but the service admits at most %d: split the sweep or raise -queue-depth", n, cap))
-		return st, err, false
-	}
 	if !s.beginWork() {
 		st, err := s.writeError(w, tr, http.StatusServiceUnavailable, fmt.Errorf("service is draining"))
 		return st, err, false
@@ -205,6 +199,16 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request, tr *active
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 		return s.writeError(w, tr, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 	}
+	// A sweep larger than the whole queue can never be admitted, so it gets
+	// 413 (retrying is pointless), decided before the cross product is
+	// expanded: a small body can name millions of cells. A single run
+	// always fits, since the cap is at least one worker.
+	n := spec.count()
+	tr.set(func(t *RequestTrace) { t.Cells = n })
+	if cap := s.admitCap.Load(); int64(n) > cap {
+		return s.writeError(w, tr, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request needs %d run cells but the service admits at most %d: split the sweep or raise -queue-depth", n, cap))
+	}
 	cs, err := spec.cells()
 	if err != nil {
 		return s.writeError(w, tr, http.StatusBadRequest, err)
@@ -212,7 +216,6 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request, tr *active
 	tr.set(func(t *RequestTrace) {
 		t.Kernel = cs[0].kernel.Name
 		t.Policy = cs[0].setup.Policy
-		t.Cells = len(cs)
 	})
 	if st, err, ok := s.admitRequest(w, tr, len(cs)); !ok {
 		return st, err
@@ -346,7 +349,7 @@ func (s *Service) handleTuner(w http.ResponseWriter, r *http.Request) {
 }
 
 // DirectTotals runs one cell directly on the service's harness, bypassing
-// HTTP — the load harness uses it to verify byte-identical results.
+// HTTP; the repository benchmark (bench/) uses it to check results.
 func (s *Service) DirectTotals(spec RunSpec) (exp.Totals, error) {
 	c, err := spec.resolve()
 	if err != nil {

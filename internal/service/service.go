@@ -32,7 +32,7 @@ import (
 // Config parameterises a Service.
 type Config struct {
 	// GridScale multiplies every kernel's grid size (0 means 1.0); the
-	// load harness and CI smoke runs use small scales.
+	// benchmark, the tests and CI smoke runs use small scales.
 	GridScale float64
 	// Parallelism is the simulation worker-pool width (0 = GOMAXPROCS).
 	Parallelism int
@@ -233,13 +233,6 @@ func (t tuneTarget) Apply(workers, admitCap int) {
 	t.s.admitCap.Store(int64(admitCap))
 	t.s.log.Info("tuner applied", "workers", workers, "admission_limit", admitCap)
 }
-
-// Tuner returns the self-tuning controller, nil unless Config.Tune.
-func (s *Service) Tuner() *tuner.Controller { return s.tuner }
-
-// Harness exposes the underlying experiment harness (load-harness and test
-// plumbing: direct runs for byte-identical comparisons, scheduler stats).
-func (s *Service) Harness() *exp.Harness { return s.h }
 
 // Registry returns the registry served at /metrics.
 func (s *Service) Registry() *telemetry.Registry { return s.reg }

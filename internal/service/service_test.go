@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -214,31 +215,58 @@ func TestAdmissionControlShedsWith429(t *testing.T) {
 
 // TestOversizedSweepRejectedWith413: a sweep larger than the whole queue can
 // never be admitted, so it is rejected with 413 (no Retry-After — retrying is
-// pointless) rather than shed with 429, and the service keeps serving.
+// pointless) rather than shed with 429, and the service keeps serving. The
+// rejection comes before the cross product is expanded: a ≈ 33 KB body
+// naming 3 000 × 3 000 cells must not allocate the 9 M cells.
 func TestOversizedSweepRejectedWith413(t *testing.T) {
 	s, srv := newTestService(t, Config{Parallelism: 1, QueueDepth: -1})
 
-	resp := postJSON(t, srv.URL+"/v1/sweep", SweepSpec{
+	small, err := json.Marshal(SweepSpec{
 		Kernels: []string{"cutcp"},
 		Setups:  []RunSpec{{}, {Policy: "static", SM: "high"}},
 	})
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized sweep status = %d, want 413", resp.StatusCode)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		t.Errorf("413 carries Retry-After %q; the request can never succeed", ra)
-	}
-	var er ErrorResponse
-	decodeBody(t, resp, &er)
-	if !strings.Contains(er.Error, "split the sweep") {
-		t.Errorf("413 body %q does not tell the client how to proceed", er.Error)
+	huge := `{"kernels":[` + strings.Repeat(`"cutcp",`, 2999) + `"cutcp"],` +
+		`"setups":[` + strings.Repeat(`{},`, 2999) + `{}]}`
+	for _, tc := range []struct {
+		name  string
+		body  []byte
+		cells string
+	}{
+		{"2 cells", small, "needs 2 run cells"},
+		{"3000x3000 cells", []byte(huge), "needs 9000000 run cells"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(srv.URL+"/v1/sweep", "application/json", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er ErrorResponse
+		decodeBody(t, resp, &er)
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized sweep status = %d, want 413", tc.name, resp.StatusCode)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "" {
+			t.Errorf("%s: 413 carries Retry-After %q; the request can never succeed", tc.name, ra)
+		}
+		if !strings.Contains(er.Error, "split the sweep") || !strings.Contains(er.Error, tc.cells) {
+			t.Errorf("%s: 413 body %q does not tell the client how to proceed", tc.name, er.Error)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+			t.Errorf("%s: rejecting a %d-byte body allocated %d MB, want < 64 MB (cross product expanded before the 413?)",
+				tc.name, len(tc.body), grew>>20)
+		}
 	}
 	if got := s.shed.Value(); got != 0 {
 		t.Errorf("shed counter = %d after capacity rejection, want 0 (not overload)", got)
 	}
 
 	// A sweep that fits still works.
-	resp = postJSON(t, srv.URL+"/v1/sweep", SweepSpec{Kernels: []string{"cutcp"}, Setups: []RunSpec{{}}})
+	resp := postJSON(t, srv.URL+"/v1/sweep", SweepSpec{Kernels: []string{"cutcp"}, Setups: []RunSpec{{}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("fitting sweep status = %d, want 200", resp.StatusCode)
 	}
@@ -549,10 +577,10 @@ func TestTunerGrowsUnderQueuePressure(t *testing.T) {
 	}
 	waitFor(t, "requests queued", func() bool { return s.queued.Load() == 4 })
 	waitFor(t, "tuner grew the pool", func() bool { return s.h.Pool().Size() > 1 })
-	if w, _ := s.Tuner().Settings(); w != s.h.Pool().Size() {
+	if w, _ := s.tuner.Settings(); w != s.h.Pool().Size() {
 		t.Errorf("tuner settings %d != pool size %d", w, s.h.Pool().Size())
 	}
-	if s.Tuner().Epochs() == 0 {
+	if s.tuner.Epochs() == 0 {
 		t.Error("tuner grew without counting epochs")
 	}
 	close(release)
@@ -560,9 +588,9 @@ func TestTunerGrowsUnderQueuePressure(t *testing.T) {
 
 	// StartDrain stops the controller: epochs freeze.
 	s.StartDrain()
-	frozen := s.Tuner().Epochs()
+	frozen := s.tuner.Epochs()
 	time.Sleep(50 * time.Millisecond)
-	if got := s.Tuner().Epochs(); got != frozen {
+	if got := s.tuner.Epochs(); got != frozen {
 		t.Errorf("tuner still ticking after drain: %d -> %d epochs", frozen, got)
 	}
 }
@@ -622,7 +650,7 @@ func TestDebugTunerEndpoint(t *testing.T) {
 	dbg := httptest.NewServer(s.DebugHandler())
 	defer dbg.Close()
 
-	waitFor(t, "tuner epochs", func() bool { return s.Tuner().Epochs() > 0 })
+	waitFor(t, "tuner epochs", func() bool { return s.tuner.Epochs() > 0 })
 	resp, err := http.Get(dbg.URL + "/debug/tuner")
 	if err != nil {
 		t.Fatal(err)
