@@ -14,9 +14,6 @@
 // power-headroom baseline) and `concurrent` (multi-kernel partitioning),
 // which are not part of `all`.
 //
-// -metrics-addr serves the telemetry registry live over HTTP while the run
-// is in progress (/metrics Prometheus text, /metrics.json).
-//
 // Runs execute on a worker pool (-parallel, default GOMAXPROCS) and results
 // persist in a disk cache (-cache-dir, default .eqcache; -no-cache disables
 // it), so a rerun with unchanged configuration simulates nothing. Scheduler
@@ -33,7 +30,6 @@ import (
 
 	"equalizer/internal/exp"
 	"equalizer/internal/exp/runcache"
-	"equalizer/internal/service"
 	"equalizer/internal/telemetry"
 )
 
@@ -47,7 +43,6 @@ func main() {
 		noCache    = flag.Bool("no-cache", false, "disable the persistent result cache")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
-		metricsAdr = flag.String("metrics-addr", "", "serve the telemetry registry live over HTTP at this address during the run (e.g. 127.0.0.1:9090)")
 	)
 	flag.Parse()
 	stopProfiling, err := telemetry.StartProfiling(*cpuprofile, *memprofile)
@@ -60,24 +55,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "eqbench: %v\n", err)
 		}
 	}()
-	reg := telemetry.NewRegistry()
-	h, err := newHarness(*scale, *parallel, *cacheDir, *noCache, reg)
+	h, err := newHarness(*scale, *parallel, *cacheDir, *noCache)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "eqbench: %v\n", err)
 		os.Exit(1)
-	}
-	if *metricsAdr != "" {
-		ms, err := service.StartMetricsServer(*metricsAdr, reg, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "eqbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "eqbench: serving live metrics on http://%s/metrics\n", ms.Addr())
-		defer func() {
-			if err := ms.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "eqbench: %v\n", err)
-			}
-		}()
 	}
 	if *asJSON {
 		start := time.Now()
@@ -109,13 +90,11 @@ func main() {
 }
 
 // newHarness wires the experiment harness with the pool width and the disk
-// cache selected on the command line. The registry backs -metrics-addr live
-// serving.
-func newHarness(scale float64, parallel int, cacheDir string, noCache bool, reg *telemetry.Registry) (*exp.Harness, error) {
+// cache selected on the command line.
+func newHarness(scale float64, parallel int, cacheDir string, noCache bool) (*exp.Harness, error) {
 	opts := exp.Options{
 		GridScale:   scale,
 		Parallelism: parallel,
-		Registry:    reg,
 		Logf: func(format string, args ...interface{}) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -26,29 +26,12 @@ func (q *Queue[T]) Push(at int64, v T) {
 	q.up(len(q.items) - 1)
 }
 
-// NextAt returns the timestamp of the earliest event, and false when empty.
-func (q *Queue[T]) NextAt() (int64, bool) {
-	if len(q.items) == 0 {
-		return 0, false
-	}
-	return q.items[0].at, true
-}
-
 // PopReady delivers every event with timestamp <= now to f, in time order
 // (ties in insertion order).
 func (q *Queue[T]) PopReady(now int64, f func(T)) {
 	for len(q.items) > 0 && q.items[0].at <= now {
 		f(q.pop())
 	}
-}
-
-// Pop removes and returns the earliest event; ok is false when empty.
-func (q *Queue[T]) Pop() (v T, at int64, ok bool) {
-	if len(q.items) == 0 {
-		return v, 0, false
-	}
-	at = q.items[0].at
-	return q.pop(), at, true
 }
 
 // Reset drops all pending events.

@@ -1,6 +1,7 @@
 package events
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -10,12 +11,6 @@ func TestEmptyQueue(t *testing.T) {
 	var q Queue[int]
 	if q.Len() != 0 {
 		t.Fatal("zero value not empty")
-	}
-	if _, ok := q.NextAt(); ok {
-		t.Fatal("NextAt on empty queue returned ok")
-	}
-	if _, _, ok := q.Pop(); ok {
-		t.Fatal("Pop on empty queue returned ok")
 	}
 	q.PopReady(100, func(int) { t.Fatal("PopReady delivered from empty queue") })
 }
@@ -44,9 +39,10 @@ func TestPopReadyRespectsNow(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("remaining = %d, want 1", q.Len())
 	}
-	at, ok := q.NextAt()
-	if !ok || at != 15 {
-		t.Fatalf("NextAt = %d,%v; want 15,true", at, ok)
+	q.PopReady(14, func(v int) { t.Fatalf("PopReady(14) delivered %d, due at 15", v) })
+	q.PopReady(15, func(v int) { got = append(got, v) })
+	if len(got) != 2 || got[1] != 2 || q.Len() != 0 {
+		t.Fatalf("got %v with %d left, want [1 2] and none", got, q.Len())
 	}
 }
 
@@ -73,9 +69,11 @@ func TestReset(t *testing.T) {
 		t.Fatal("Reset left events behind")
 	}
 	q.Push(5, 7)
-	v, at, ok := q.Pop()
-	if !ok || v != 7 || at != 5 {
-		t.Fatalf("Pop after reset = %d,%d,%v", v, at, ok)
+	q.PopReady(4, func(v int) { t.Fatalf("PopReady(4) after reset delivered %d", v) })
+	var got []int
+	q.PopReady(5, func(v int) { got = append(got, v) })
+	if len(got) != 1 || got[0] != 7 {
+		t.Fatalf("PopReady(5) after reset = %v, want [7]", got)
 	}
 }
 
@@ -87,14 +85,8 @@ func TestQuickHeapOrder(t *testing.T) {
 			q.Push(at, at)
 		}
 		var got []int64
-		for {
-			v, _, ok := q.Pop()
-			if !ok {
-				break
-			}
-			got = append(got, v)
-		}
-		if len(got) != len(times) {
+		q.PopReady(math.MaxInt64, func(v int64) { got = append(got, v) })
+		if len(got) != len(times) || q.Len() != 0 {
 			return false
 		}
 		return sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] })

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -47,19 +48,13 @@ func (h *Harness) runAblationPoint(label string, eqCfg config.Equalizer, mode co
 		if err != nil {
 			return AblationPoint{}, err
 		}
-		kk := h.scaled(k)
-		m, err := gpu.New(h.gpuCfg, h.pwrCfg, core.NewWithConfig(mode, eqCfg))
+		m, err := gpu.New(h.gpuCfg, h.pwrCfg, NewPolicy(EqualizerSetup(mode), eqCfg))
 		if err != nil {
 			return AblationPoint{}, err
 		}
-		var t Totals
-		for inv := 0; inv < kk.Invocations; inv++ {
-			res, err := m.RunKernel(kk, inv)
-			if err != nil {
-				return AblationPoint{}, err
-			}
-			t.TimePS += res.TimePS
-			t.EnergyJ += res.EnergyJ()
+		t, err := Simulate(context.Background(), m, h.scaled(k), nil)
+		if err != nil {
+			return AblationPoint{}, err
 		}
 		speedups = append(speedups, t.Speedup(base))
 		deltas = append(deltas, t.EnergyDelta(base))

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -266,13 +267,12 @@ func (h *Harness) monitorSeries(k kernels.Kernel) ([]policy.EpochPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	kk := h.scaled(k)
 	var series []policy.EpochPoint
-	for inv := 0; inv < kk.Invocations; inv++ {
-		if _, err := m.RunKernel(kk, inv); err != nil {
-			return nil, err
-		}
+	_, err = Simulate(context.Background(), m, h.scaled(k), func(int, gpu.Result) {
 		series = append(series, mon.Series()...)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return series, nil
 }

@@ -8,7 +8,6 @@ import (
 	"equalizer/internal/gpu"
 	"equalizer/internal/kernels"
 	"equalizer/internal/metrics"
-	"equalizer/internal/policy"
 )
 
 // BoostRow compares Equalizer's performance mode against the commercial
@@ -25,11 +24,14 @@ type BoostRow struct {
 // power headroom alone, so it matches Equalizer only on compute kernels and
 // wastes energy everywhere else.
 func (h *Harness) BoostComparison() ([]BoostRow, error) {
+	eqSetup := EqualizerSetup(core.PerformanceMode)
+	boostSetup := Setup{Policy: "boost", SM: config.VFNormal, Mem: config.VFNormal}
 	var grid []RunRequest
 	for _, k := range kernels.All() {
 		grid = append(grid,
 			RunRequest{Kernel: k, Setup: Baseline()},
-			RunRequest{Kernel: k, Setup: Setup{Policy: "equalizer-perf", SM: config.VFNormal, Mem: config.VFNormal}})
+			RunRequest{Kernel: k, Setup: eqSetup},
+			RunRequest{Kernel: k, Setup: boostSetup})
 	}
 	h.Prefetch(grid)
 	var rows []BoostRow
@@ -38,26 +40,14 @@ func (h *Harness) BoostComparison() ([]BoostRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		eq, err := h.Run(k, Setup{Policy: "equalizer-perf", SM: config.VFNormal, Mem: config.VFNormal})
+		eq, err := h.Run(k, eqSetup)
 		if err != nil {
 			return nil, err
 		}
-
-		kk := h.scaled(k)
-		m, err := gpu.New(h.gpuCfg, h.pwrCfg, policy.NewPowerBoost())
+		boost, err := h.Run(k, boostSetup)
 		if err != nil {
 			return nil, err
 		}
-		var boost Totals
-		for inv := 0; inv < kk.Invocations; inv++ {
-			res, err := m.RunKernel(kk, inv)
-			if err != nil {
-				return nil, err
-			}
-			boost.TimePS += res.TimePS
-			boost.EnergyJ += res.EnergyJ()
-		}
-
 		rows = append(rows, BoostRow{
 			Kernel:          k.Name,
 			Category:        k.Category,
@@ -99,7 +89,7 @@ func (h *Harness) ConcurrentStudy() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	eqTasks, eqTotal, err := run(policyEqualizerPerf())
+	eqTasks, eqTotal, err := run(core.New(core.PerformanceMode))
 	if err != nil {
 		return "", err
 	}
@@ -120,10 +110,6 @@ func (h *Harness) ConcurrentStudy() (string, error) {
 		"limits chip-wide frequency shifts when the halves disagree (the paper's\n" +
 		"argument for per-SM regulators).\n")
 	return b.String(), nil
-}
-
-func policyEqualizerPerf() gpu.Policy {
-	return core.New(core.PerformanceMode)
 }
 
 // RenderBoostComparison formats the extension study.

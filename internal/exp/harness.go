@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 
 	"equalizer/internal/config"
@@ -229,6 +230,20 @@ type Totals struct {
 	PerInvocationPS []int64
 }
 
+// plausible reports whether t could be the result of simulating a kernel
+// with the given number of invocations: positive time, one entry per
+// invocation, and per-invocation times that sum to the total.
+func (t Totals) plausible(invocations int) bool {
+	if t.TimePS <= 0 || len(t.PerInvocationPS) != invocations {
+		return false
+	}
+	var sum int64
+	for _, ps := range t.PerInvocationPS {
+		sum += ps
+	}
+	return sum == t.TimePS
+}
+
 // Speedup returns base.Time / t.Time.
 func (t Totals) Speedup(base Totals) float64 {
 	return float64(base.TimePS) / float64(t.TimePS)
@@ -260,7 +275,8 @@ func (t Totals) Efficiency(base Totals) float64 {
 // Setup names one machine configuration for a run.
 type Setup struct {
 	// Policy is "baseline", "equalizer-energy", "equalizer-perf", "dynCTA",
-	// "ccws", or "blocks=N".
+	// "ccws", "blocks" or "boost" (the GPU-Boost extension study's
+	// controller, which ParseSetup does not accept).
 	Policy string
 	// SM and Mem are the static VF levels applied before the run.
 	SM, Mem config.VFLevel
@@ -325,28 +341,108 @@ func cacheKeyFor(version int, g config.GPU, p power.Config, scale float64, kerne
 	return hex.EncodeToString(sum[:])
 }
 
-// buildPolicy constructs the gpu.Policy for a setup; nil means no tuning.
-func (h *Harness) buildPolicy(s Setup) gpu.Policy {
+// vfLevels is the VF-level vocabulary of ParseSetup; empty means nominal.
+var vfLevels = map[string]config.VFLevel{
+	"": config.VFNormal, "normal": config.VFNormal, "low": config.VFLow, "high": config.VFHigh,
+}
+
+// ParseSetup maps the policy and VF-level names that eqsim's flags and
+// eqsimd's RunSpec share onto a Setup. Names are case-insensitive and an
+// empty policy means baseline. baseline, static and blocks take the VF
+// levels; static and blocks also take the block pin when blocks > 0.
+// dynCTA, ccws and the Equalizer modes run at nominal levels and ignore
+// both, but an unknown level name is an error for every policy.
+func ParseSetup(policy, sm, mem string, blocks int) (Setup, error) {
+	var lv [2]config.VFLevel
+	for i, name := range [2]string{sm, mem} {
+		l, ok := vfLevels[strings.ToLower(name)]
+		if !ok {
+			return Setup{}, fmt.Errorf("unknown VF level %q (want low, normal or high)", name)
+		}
+		lv[i] = l
+	}
+	switch strings.ToLower(policy) {
+	case "", "baseline":
+		return StaticVF(lv[0], lv[1]), nil
+	case "static", "blocks":
+		if blocks > 0 {
+			return Setup{Policy: "blocks", SM: lv[0], Mem: lv[1], Blocks: blocks}, nil
+		}
+		return StaticVF(lv[0], lv[1]), nil
+	case "dyncta":
+		return Setup{Policy: "dynCTA", SM: config.VFNormal, Mem: config.VFNormal}, nil
+	case "ccws":
+		return Setup{Policy: "ccws", SM: config.VFNormal, Mem: config.VFNormal}, nil
+	case "equalizer-energy":
+		return EqualizerSetup(core.EnergyMode), nil
+	case "equalizer-perf", "equalizer-performance":
+		return EqualizerSetup(core.PerformanceMode), nil
+	default:
+		return Setup{}, fmt.Errorf("unknown policy %q", policy)
+	}
+}
+
+// NewPolicy constructs the gpu.Policy for a setup; nil means no tuning.
+// eq parameterises the Equalizer modes.
+func NewPolicy(s Setup, eq config.Equalizer) gpu.Policy {
 	switch s.Policy {
 	case "baseline", "":
 		return nil
 	case "blocks":
 		return policy.NewStaticBlocks(s.Blocks)
-	case "equalizer-energy":
-		eq := core.New(core.EnergyMode)
-		eq.DisableFrequency = s.DisableFrequency
-		return eq
-	case "equalizer-perf":
-		eq := core.New(core.PerformanceMode)
-		eq.DisableFrequency = s.DisableFrequency
-		return eq
+	case "equalizer-energy", "equalizer-perf":
+		mode := core.PerformanceMode
+		if s.Policy == "equalizer-energy" {
+			mode = core.EnergyMode
+		}
+		e := core.NewWithConfig(mode, eq)
+		e.DisableFrequency = s.DisableFrequency
+		return e
 	case "dynCTA":
 		return policy.NewDynCTA()
 	case "ccws":
 		return policy.NewCCWS()
+	case "boost":
+		return policy.NewPowerBoost()
 	default:
 		panic(fmt.Sprintf("exp: unknown policy %q", s.Policy))
 	}
+}
+
+// Simulate runs every invocation of k on m in launch order and aggregates
+// them into Totals. each, when non-nil, sees every invocation's result. The
+// context is checked between invocations: a canceled run stops at the next
+// invocation boundary rather than finishing the whole sequence.
+func Simulate(ctx context.Context, m *gpu.Machine, k kernels.Kernel, each func(inv int, r gpu.Result)) (Totals, error) {
+	var t Totals
+	var l1Weighted, dramWeighted float64
+	for inv := 0; inv < k.Invocations; inv++ {
+		if err := ctx.Err(); err != nil {
+			return Totals{}, fmt.Errorf("exp: simulate %s invocation %d: %w", k.Name, inv, err)
+		}
+		res, err := m.RunKernel(k, inv)
+		if err != nil {
+			return Totals{}, err
+		}
+		if each != nil {
+			each(inv, res)
+		}
+		t.TimePS += res.TimePS
+		t.EnergyJ += res.EnergyJ()
+		t.SMCycles += res.SMCycles //eqlint:allow cycleaccounting -- aggregates finished per-invocation results, not live accounting
+		l1Weighted += res.L1HitRate * float64(res.SMCycles)
+		dramWeighted += res.DRAMUtil * float64(res.SMCycles)
+		for i := 0; i < 3; i++ {
+			t.Residency.SM[i] += res.Residency.SM[i]
+			t.Residency.Mem[i] += res.Residency.Mem[i]
+		}
+		t.PerInvocationPS = append(t.PerInvocationPS, res.TimePS)
+	}
+	if t.SMCycles > 0 {
+		t.L1Hit = l1Weighted / float64(t.SMCycles)
+		t.DRAMUtil = dramWeighted / float64(t.SMCycles)
+	}
+	return t, nil
 }
 
 // scaled returns k with its grid scaled by the harness factor.
@@ -443,8 +539,9 @@ func (h *Harness) RunCtx(ctx context.Context, k kernels.Kernel, s Setup) (Totals
 }
 
 // loadOrSimulate consults the persistent cache before paying for a
-// simulation. A corrupt entry is counted, already removed by the cache, and
-// healed by re-simulating — never a failure.
+// simulation. A corrupt entry — one that does not decode, or decodes to
+// Totals no simulation of k could produce — is counted and healed by
+// re-simulating and overwriting it, never a failure.
 func (h *Harness) loadOrSimulate(ctx context.Context, k kernels.Kernel, s Setup) (Totals, RunSource, error) {
 	if h.cache == nil {
 		t, err := h.simulate(ctx, k, s)
@@ -455,11 +552,11 @@ func (h *Harness) loadOrSimulate(ctx context.Context, k kernels.Kernel, s Setup)
 	lookup := h.clock()
 	ok, err := h.cache.Load(key, &t)
 	h.observeStage(h.stageCache, lookup)
-	if ok {
+	if ok && t.plausible(h.scaled(k).Invocations) {
 		h.cacheHits.Inc()
 		return t, SourceCache, nil
 	}
-	if err != nil {
+	if err != nil || ok {
 		h.cacheErrs.Inc()
 	} else {
 		h.cacheMisses.Inc()
@@ -476,9 +573,8 @@ func (h *Harness) loadOrSimulate(ctx context.Context, k kernels.Kernel, s Setup)
 	return t, SourceSim, nil
 }
 
-// simulate runs the kernel's full launch sequence on a fresh machine. The
-// context is checked between invocations: a canceled request stops at the
-// next invocation boundary rather than finishing the whole sequence.
+// simulate runs the kernel's full launch sequence on a fresh machine set
+// up for s.
 func (h *Harness) simulate(ctx context.Context, k kernels.Kernel, s Setup) (Totals, error) {
 	h.sims.Inc()
 	simStart := h.clock()
@@ -488,38 +584,12 @@ func (h *Harness) simulate(ctx context.Context, k kernels.Kernel, s Setup) (Tota
 			return Totals{}, err
 		}
 	}
-	kk := h.scaled(k)
-	m, err := gpu.New(h.gpuCfg, h.pwrCfg, h.buildPolicy(s))
+	m, err := gpu.New(h.gpuCfg, h.pwrCfg, NewPolicy(s, config.DefaultEqualizer()))
 	if err != nil {
 		return Totals{}, err
 	}
 	m.SetLevelsImmediate(s.SM, s.Mem)
-	var t Totals
-	var l1Weighted, dramWeighted float64
-	for inv := 0; inv < kk.Invocations; inv++ {
-		if err := ctx.Err(); err != nil {
-			return Totals{}, fmt.Errorf("exp: simulate %s/%s invocation %d: %w", k.Name, s.Policy, inv, err)
-		}
-		res, err := m.RunKernel(kk, inv)
-		if err != nil {
-			return Totals{}, err
-		}
-		t.TimePS += res.TimePS
-		t.EnergyJ += res.EnergyJ()
-		t.SMCycles += res.SMCycles //eqlint:allow cycleaccounting -- aggregates finished per-invocation results, not live accounting
-		l1Weighted += res.L1HitRate * float64(res.SMCycles)
-		dramWeighted += res.DRAMUtil * float64(res.SMCycles)
-		for i := 0; i < 3; i++ {
-			t.Residency.SM[i] += res.Residency.SM[i]
-			t.Residency.Mem[i] += res.Residency.Mem[i]
-		}
-		t.PerInvocationPS = append(t.PerInvocationPS, res.TimePS)
-	}
-	if t.SMCycles > 0 {
-		t.L1Hit = l1Weighted / float64(t.SMCycles)
-		t.DRAMUtil = dramWeighted / float64(t.SMCycles)
-	}
-	return t, nil
+	return Simulate(ctx, m, h.scaled(k), nil)
 }
 
 // MustRun is Run but panics on error; experiment code treats simulator

@@ -3,10 +3,7 @@ package service
 import (
 	"fmt"
 	"math"
-	"strings"
 
-	"equalizer/internal/config"
-	"equalizer/internal/core"
 	"equalizer/internal/exp"
 	"equalizer/internal/kernels"
 )
@@ -73,55 +70,16 @@ type cell struct {
 	setup  exp.Setup
 }
 
-// parseVFLevel maps the wire VF-level names; empty means nominal.
-func parseVFLevel(s string) (config.VFLevel, error) {
-	switch strings.ToLower(s) {
-	case "", "normal":
-		return config.VFNormal, nil
-	case "low":
-		return config.VFLow, nil
-	case "high":
-		return config.VFHigh, nil
-	default:
-		return 0, fmt.Errorf("unknown VF level %q (want low, normal or high)", s)
-	}
-}
-
-// resolve maps a RunSpec onto the harness vocabulary, validating the kernel
-// and policy names.
+// resolve maps a RunSpec onto the harness vocabulary through exp.ParseSetup,
+// validating the kernel, policy and VF-level names.
 func (r RunSpec) resolve() (cell, error) {
 	k, err := kernels.ByName(r.Kernel)
 	if err != nil {
 		return cell{}, err
 	}
-	sl, err := parseVFLevel(r.SM)
+	setup, err := exp.ParseSetup(r.Policy, r.SM, r.Mem, r.Blocks)
 	if err != nil {
 		return cell{}, err
-	}
-	ml, err := parseVFLevel(r.Mem)
-	if err != nil {
-		return cell{}, err
-	}
-	var setup exp.Setup
-	switch strings.ToLower(r.Policy) {
-	case "", "baseline":
-		setup = exp.Setup{Policy: "baseline", SM: sl, Mem: ml}
-	case "static", "blocks":
-		if r.Blocks > 0 {
-			setup = exp.Setup{Policy: "blocks", SM: sl, Mem: ml, Blocks: r.Blocks}
-		} else {
-			setup = exp.StaticVF(sl, ml)
-		}
-	case "dyncta":
-		setup = exp.Setup{Policy: "dynCTA", SM: config.VFNormal, Mem: config.VFNormal}
-	case "ccws":
-		setup = exp.Setup{Policy: "ccws", SM: config.VFNormal, Mem: config.VFNormal}
-	case "equalizer-energy":
-		setup = exp.EqualizerSetup(core.EnergyMode)
-	case "equalizer-perf", "equalizer-performance":
-		setup = exp.EqualizerSetup(core.PerformanceMode)
-	default:
-		return cell{}, fmt.Errorf("unknown policy %q", r.Policy)
 	}
 	return cell{kernel: k, setup: setup}, nil
 }

@@ -518,41 +518,6 @@ func TestTraceRingWraps(t *testing.T) {
 	}
 }
 
-// TestMetricsServer: the -metrics-addr backend serves a live registry and a
-// collect hook runs per scrape under the shared lock.
-func TestMetricsServer(t *testing.T) {
-	s, err := New(Config{GridScale: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	collected := 0
-	ms, err := StartMetricsServer("127.0.0.1:0", s.Registry(), func() {
-		mu.Lock()
-		collected++
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ms.Close()
-
-	resp, err := http.Get("http://" + ms.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "exp_runs_total") {
-		t.Error("live /metrics missing exp_runs_total")
-	}
-	mu.Lock()
-	if collected != 1 {
-		t.Errorf("collect hook ran %d times, want 1", collected)
-	}
-	mu.Unlock()
-}
-
 // TestTunerGrowsUnderQueuePressure: with the controller on and the pool at
 // its one-worker floor, a burst of blocked requests makes the tuner grow
 // the pool and open admission; the resize reaches the live pool.
