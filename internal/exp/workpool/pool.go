@@ -7,8 +7,8 @@
 // waiting and no idle worker exists, so an oversized pool costs nothing);
 // shrinking retires workers cooperatively at task boundaries: a worker
 // checks the target width between tasks and exits when the pool is over
-// target, and idle workers are woken with poison pills so a downsize takes
-// effect without waiting for new traffic. Because resizing only changes how
+// target, and a downsize wakes the idle workers so it takes effect without
+// waiting for new traffic. Because resizing only changes how
 // many closures run concurrently — never what a closure computes — callers
 // keep their byte-identical-results guarantee at any width.
 package workpool
@@ -34,19 +34,20 @@ type task struct {
 type Pool struct {
 	// tasks is unbuffered: a submitter blocks in Do until a worker
 	// receives its task, so "queued work" lives in the submitters and the
-	// pool's width alone bounds concurrency. nil on the channel is a
-	// poison pill: it wakes an idle worker so it can re-check the target
-	// width and retire.
+	// pool's width alone bounds concurrency.
 	tasks chan *task
 
 	mu      sync.Mutex
 	size    int // target width
 	alive   int // workers running (idle + busy)
-	idle    int // workers blocked waiting for a task
+	idle    int // workers waiting for a task; a sender decrements it on hand-off
 	waiting int // submitters blocked handing a task off
 	spawned uint64
 	retired uint64
 	resizes uint64
+	// shrink is closed, and replaced, when a Resize leaves more workers
+	// alive than the target: every idle worker wakes to re-check the width.
+	shrink chan struct{}
 
 	busy atomic.Int64 // workers currently executing a task
 }
@@ -68,7 +69,7 @@ func New(size int) *Pool {
 	if size < 1 {
 		size = 1
 	}
-	return &Pool{tasks: make(chan *task), size: size}
+	return &Pool{tasks: make(chan *task), size: size, shrink: make(chan struct{})}
 }
 
 // Size returns the current target width.
@@ -94,8 +95,8 @@ func (p *Pool) Stats() Stats {
 // Resize sets the target width (clamped to >= 1) and returns the width
 // actually applied. Growing takes effect lazily — new workers spawn as work
 // arrives. Shrinking is cooperative: busy workers finish their current task
-// first (a task is never interrupted), and idle workers are woken with
-// poison pills so they retire immediately.
+// first (a task is never interrupted), and idle workers are woken so they
+// retire immediately.
 func (p *Pool) Resize(n int) int {
 	if n < 1 {
 		n = 1
@@ -107,23 +108,15 @@ func (p *Pool) Resize(n int) int {
 	}
 	p.size = n
 	p.resizes++
-	wake := 0
-	if p.alive > n && p.idle > 0 {
-		wake = p.alive - n
-		if wake > p.idle {
-			wake = p.idle
-		}
+	if p.alive > n {
+		// Wake every idle worker, including one that has counted itself
+		// idle but not yet started waiting; the width check in worker
+		// retires exactly the excess. A busy worker retires at its next
+		// task boundary.
+		close(p.shrink)
+		p.shrink = make(chan struct{})
 	}
 	p.mu.Unlock()
-	for i := 0; i < wake; i++ {
-		// Non-blocking: succeeds only when an idle worker is already in
-		// receive. A worker that misses its pill (just went busy) still
-		// retires at its next task boundary.
-		select {
-		case p.tasks <- nil:
-		default:
-		}
-	}
 	return n
 }
 
@@ -156,6 +149,12 @@ func (p *Pool) Do(ctx context.Context, f func()) error {
 	}
 	p.mu.Lock()
 	p.waiting--
+	if handedOff {
+		// The receiving worker is no longer idle. Both counts drop in one
+		// step so the spawn check in a concurrent Do never sees this
+		// submitter gone while its worker still looks idle.
+		p.idle--
+	}
 	p.mu.Unlock()
 	if !handedOff {
 		return ctx.Err()
@@ -186,15 +185,18 @@ func (p *Pool) worker() {
 			return
 		}
 		p.idle++
+		shrink := p.shrink
 		p.mu.Unlock()
 
-		t := <-p.tasks
-
-		p.mu.Lock()
-		p.idle--
-		p.mu.Unlock()
-		if t == nil {
-			continue // poison pill: loop to re-check the target width
+		var t *task
+		select {
+		case t = <-p.tasks:
+			// The sender took this worker off the idle count.
+		case <-shrink:
+			p.mu.Lock()
+			p.idle--
+			p.mu.Unlock()
+			continue // loop to re-check the target width
 		}
 		if !t.claimed.CompareAndSwap(false, true) {
 			continue // submitter abandoned the task on cancellation

@@ -103,26 +103,35 @@ func TestGrowTakesEffect(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShrinkRetiresIdleWorkersImmediately: poison pills wake idle workers so
-// a downsize converges without new traffic.
+// TestShrinkRetiresIdleWorkersImmediately: a downsize wakes idle workers so
+// it converges without new traffic.
 func TestShrinkRetiresIdleWorkersImmediately(t *testing.T) {
 	p := New(4)
+	// Hold four tasks in flight together so all four workers are spawned;
+	// trivial tasks could all be served by one worker.
+	block := make(chan struct{})
+	var started atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Do(context.Background(), func() {}) //nolint:errcheck // background ctx cannot fail
+			p.Do(context.Background(), func() { //nolint:errcheck // background ctx cannot fail
+				started.Add(1)
+				<-block
+			})
 		}()
 	}
+	waitFor(t, "4 tasks running concurrently", func() bool { return started.Load() == 4 })
+	close(block)
 	wg.Wait()
 	waitFor(t, "workers idle", func() bool {
 		st := p.Stats()
 		return st.Busy == 0 && st.Idle == st.Alive
 	})
 	before := p.Stats().Alive
-	if before < 2 {
-		t.Skipf("only %d workers spawned; nothing to shrink", before)
+	if before != 4 {
+		t.Fatalf("alive = %d after 4 concurrent tasks, want 4", before)
 	}
 	p.Resize(1)
 	waitFor(t, "pool shrunk to 1", func() bool { return p.Stats().Alive == 1 })
@@ -170,8 +179,9 @@ func TestResizeStormUnderLoad(t *testing.T) {
 	p := New(2)
 	var ran atomic.Int64
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	stop, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(stopped)
 		sizes := []int{1, 5, 2, 8, 1, 3}
 		for i := 0; ; i++ {
 			select {
@@ -193,6 +203,7 @@ func TestResizeStormUnderLoad(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
+	<-stopped // no storm Resize may land after the final one
 	if ran.Load() != n {
 		t.Fatalf("ran %d tasks, want %d", ran.Load(), n)
 	}
