@@ -61,18 +61,12 @@ func main() {
 		noCache    = flag.Bool("no-cache", false, "disable the persistent result cache")
 		metrics    = flag.String("metrics", "", "write machine counters to this file after the run")
 		set        = flag.String("set", "", "comma-separated config overrides, e.g. numsms=8,l1.sets=32,epochcycles=2048")
-		metricsFmt = flag.String("metrics-format", "prom", "metrics file format: prom | json")
 		asJSON     = flag.Bool("json", false, "emit the result as JSON ({kernel, policy, totals})")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
 	flag.Parse()
 
-	switch *metricsFmt {
-	case "prom", "json":
-	default:
-		fatal(fmt.Errorf("unknown -metrics-format %q (want prom or json)", *metricsFmt))
-	}
 	stopProfiling, err := telemetry.StartProfiling(*cpuprofile, *memprofile)
 	if err != nil {
 		fatal(err)
@@ -139,7 +133,7 @@ func main() {
 			fatal(err)
 		}
 		if *metrics != "" {
-			if err := writeMetrics(m, *metrics, *metricsFmt); err != nil {
+			if err := writeMetrics(m, *metrics); err != nil {
 				fatal(err)
 			}
 		}
@@ -179,8 +173,8 @@ func buildPolicy(policyName, sm, mem string, blocks int, eq config.Equalizer) (e
 }
 
 // writeMetrics snapshots the machine's counters into a registry and writes
-// it in Prometheus text or JSON form.
-func writeMetrics(m *gpu.Machine, path, format string) error {
+// it in Prometheus text form.
+func writeMetrics(m *gpu.Machine, path string) error {
 	reg := telemetry.NewRegistry()
 	m.Collect(reg)
 	f, err := os.Create(path)
@@ -188,9 +182,6 @@ func writeMetrics(m *gpu.Machine, path, format string) error {
 		return err
 	}
 	defer f.Close()
-	if format == "json" {
-		return reg.WriteJSON(f)
-	}
 	return reg.WritePrometheus(f)
 }
 

@@ -15,7 +15,6 @@
 //	POST /v1/sweep       {"kernels":["cutcp","lbm"],"setups":[{},{"policy":"ccws"}]}
 //	GET  /v1/kernels     available kernels
 //	GET  /metrics        live telemetry registry (Prometheus text)
-//	GET  /metrics.json   live telemetry registry (JSON)
 //	GET  /healthz        liveness
 //	GET  /readyz         readiness (503 while draining)
 //

@@ -100,6 +100,9 @@ func run(opts options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if opts.inv < 0 || opts.inv >= k.Invocations {
+		return fmt.Errorf("-inv %d out of range: %s has invocations [0,%d)", opts.inv, k.Name, k.Invocations)
+	}
 	var mode core.Mode
 	switch opts.mode {
 	case "energy":

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"equalizer/internal/kernels"
 	"equalizer/internal/service"
 )
 
@@ -31,6 +33,19 @@ func TestRunRejectsBadSM(t *testing.T) {
 		err := run(options{kernel: "spmv", mode: "performance", format: "table", sm: spec}, &bytes.Buffer{})
 		if err == nil || !strings.Contains(err.Error(), "-sm") {
 			t.Fatalf("-sm %q: want error, got %v", spec, err)
+		}
+	}
+}
+
+func TestRunRejectsBadInv(t *testing.T) {
+	k, err := kernels.ByName("cutcp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inv := range []int{-1, k.Invocations} {
+		err := run(options{kernel: k.Name, mode: "performance", inv: inv, format: "table", sm: "0"}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "-inv") || !strings.Contains(err.Error(), fmt.Sprintf("[0,%d)", k.Invocations)) {
+			t.Fatalf("-inv %d: want an error naming the valid range, got %v", inv, err)
 		}
 	}
 }

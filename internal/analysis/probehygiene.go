@@ -255,18 +255,6 @@ func checkEmitKindConstant(pass *Pass, call *ast.CallExpr) {
 	if ok && tv.Value != nil {
 		return
 	}
-	// A plain identifier bound to a Kind parameter/field is also fine: the
-	// constant was pinned at a higher level (e.g. SetProbe wiring).
-	if id, ok := call.Args[kindIdx].(*ast.Ident); ok {
-		if _, isVar := pass.ObjectOf(id).(*types.Var); isVar {
-			return
-		}
-	}
-	if sel, ok := call.Args[kindIdx].(*ast.SelectorExpr); ok {
-		if _, isVar := pass.ObjectOf(sel.Sel).(*types.Var); isVar {
-			return
-		}
-	}
 	pass.Reportf(call.Args[kindIdx].Pos(),
-		"Emit kind argument must be a telemetry.Kind constant (or a variable pinned from one), not a computed expression")
+		"Emit kind argument must be a telemetry.Kind constant, not a variable or computed expression")
 }

@@ -87,6 +87,6 @@ func (b *Bus) Reset() {
 
 func use(b *Bus, k Kind, x int) {
 	b.Emit(0, KindA, 1)   // ok: constant kind
-	b.Emit(0, k, 1)       // ok: variable pinned from a constant upstream
+	b.Emit(0, k, 1)       // want "Kind constant"
 	b.Emit(0, Kind(x), 1) // want "Kind constant"
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"equalizer/internal/config"
-	"equalizer/internal/telemetry"
 )
 
 // Addr is a byte address in the simulated global memory space.
@@ -116,15 +115,6 @@ type Cache struct {
 	lastVictim    Addr
 	hasLastVictim bool
 
-	// Telemetry: probe is nil (free) until SetProbe wires the cache to a
-	// bus; accessKind/evictKind distinguish the L1 and L2 instances and
-	// probeNow supplies the owner's current simulation time.
-	probe      *telemetry.Bus
-	accessKind telemetry.Kind
-	evictKind  telemetry.Kind
-	probeSrc   int16
-	probeNow   func() int64
-
 	stats Stats
 }
 
@@ -205,16 +195,6 @@ func MustNew(geom config.Cache) *Cache {
 	return c
 }
 
-// SetProbe wires the cache to a telemetry bus: every Access emits an event
-// of kind access (payload: line address, AccessResult ordinal) and every
-// evicting Fill emits kind evict (payload: victim line). src labels the
-// emitting unit (the SM index for an L1, -1 for the shared L2) and now
-// supplies the owner's current simulation time in picoseconds. A nil bus
-// detaches the probe.
-func (c *Cache) SetProbe(b *telemetry.Bus, access, evict telemetry.Kind, src int16, now func() int64) {
-	c.probe, c.accessKind, c.evictKind, c.probeSrc, c.probeNow = b, access, evict, src, now
-}
-
 // LineAddr returns the line-aligned address containing a.
 func (c *Cache) LineAddr(a Addr) Addr { return a &^ (Addr(c.geom.LineBytes) - 1) }
 
@@ -227,14 +207,6 @@ func (c *Cache) tag(a Addr) uint64      { return uint64(a) >> c.lineShift }
 // no writeback traffic) since Equalizer's behaviour depends on latency and
 // bandwidth pressure, not dirty-line movement.
 func (c *Cache) Access(a Addr) AccessResult {
-	res := c.access(a)
-	if c.probe.Enabled(c.accessKind) {
-		c.probe.Emit(c.probeNow(), c.accessKind, c.probeSrc, int64(c.LineAddr(a)), int64(res))
-	}
-	return res
-}
-
-func (c *Cache) access(a Addr) AccessResult {
 	c.stats.Accesses++
 	la := c.LineAddr(a)
 	set := c.sets[c.setIndex(a)]
@@ -334,9 +306,6 @@ func (c *Cache) Fill(a Addr) int {
 		c.stats.Evictions++
 		c.lastVictim = Addr(set[victim].tag << c.lineShift)
 		c.hasLastVictim = true
-		if c.probe.Enabled(c.evictKind) {
-			c.probe.Emit(c.probeNow(), c.evictKind, c.probeSrc, int64(c.lastVictim), 0)
-		}
 	} else {
 		c.hasLastVictim = false
 	}

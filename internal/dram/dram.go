@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"equalizer/internal/cache"
-	"equalizer/internal/telemetry"
 )
 
 // Config holds the controller parameters.
@@ -92,9 +91,6 @@ type Controller struct {
 	// completed is the reusable completion buffer returned by Step.
 	completed []cache.Addr
 	stats     Stats
-
-	probe    *telemetry.Bus
-	probeNow func() int64
 }
 
 // New builds a controller.
@@ -118,13 +114,6 @@ func MustNew(cfg Config) *Controller {
 	return c
 }
 
-// SetProbe wires the controller to a telemetry bus: rejected Enqueue
-// attempts emit KindDRAMReject events. now supplies the owner's current
-// simulation time in picoseconds. A nil bus detaches the probe.
-func (c *Controller) SetProbe(b *telemetry.Bus, now func() int64) {
-	c.probe, c.probeNow = b, now
-}
-
 // CanAccept reports whether the queue has room for another request.
 func (c *Controller) CanAccept() bool { return len(c.queue) < c.cfg.QueueDepth }
 
@@ -133,9 +122,6 @@ func (c *Controller) CanAccept() bool { return len(c.queue) < c.cfg.QueueDepth }
 func (c *Controller) Enqueue(line cache.Addr) bool {
 	if !c.CanAccept() {
 		c.stats.Rejected++
-		if c.probe.Enabled(telemetry.KindDRAMReject) {
-			c.probe.Emit(c.probeNow(), telemetry.KindDRAMReject, -1, int64(line), 0)
-		}
 		return false
 	}
 	c.queue = append(c.queue, line)

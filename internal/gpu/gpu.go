@@ -92,9 +92,10 @@ type Machine struct {
 	// drainFn and deliverFn are the interconnect-drain and reply-delivery
 	// callbacks, allocated once instead of per memory cycle; hitDelayPS and
 	// lastMemNowPS carry the current cycle's times into them.
-	drainFn    func(r icnt.Request) bool
-	deliverFn  func(r icnt.Request)
-	hitDelayPS int64
+	drainFn      func(r icnt.Request) bool
+	deliverFn    func(r icnt.Request)
+	hitDelayPS   int64
+	lastMemNowPS int64
 
 	meter *power.Meter
 
@@ -114,13 +115,12 @@ type Machine struct {
 	seenMem        power.MemTotals
 	memCycle       int64
 
-	// Telemetry: bus is nil (free) until AttachTelemetry; lastMemNowPS
-	// timestamps memory-partition probes and vfRequestPS records in-flight
-	// regulator requests so VF-shift events can carry switching latency.
-	bus          *telemetry.Bus
-	lastMemNowPS int64
-	vfRequestPS  [2]int64
-	vfRequested  [2]bool
+	// Telemetry: bus is nil (free) until AttachTelemetry; vfRequestPS
+	// records in-flight regulator requests so VF-shift events can carry
+	// switching latency.
+	bus         *telemetry.Bus
+	vfRequestPS [2]int64
+	vfRequested [2]bool
 }
 
 // New builds a machine. The policy may be nil (pure baseline, no tuning).
@@ -173,26 +173,15 @@ func MustNew(cfg config.GPU, pcfg power.Config, policy Policy) *Machine {
 	return m
 }
 
-// AttachTelemetry wires a probe bus through every layer of the machine: the
-// SMs (warp issue, stall census, block residency, CTA pausing) and their L1
-// caches, the shared L2, the interconnect, the memory controller, and the
-// machine itself (kernel boundaries, VF transitions). A nil bus detaches
-// everything; probes on a detached machine cost nothing.
+// AttachTelemetry wires a probe bus to the SMs (warp issue, stall census,
+// block residency, CTA pausing) and to the machine itself (kernel
+// boundaries, VF transitions); policies reach it through Bus. A nil bus
+// detaches everything; probes on a detached machine cost nothing.
 func (m *Machine) AttachTelemetry(b *telemetry.Bus) {
 	m.bus = b
 	for _, s := range m.sms {
 		s.SetProbe(b)
 	}
-	if b == nil {
-		m.l2.SetProbe(nil, 0, 0, 0, nil)
-		m.net.SetProbe(nil, nil)
-		m.dram.SetProbe(nil, nil)
-		return
-	}
-	memNow := func() int64 { return m.lastMemNowPS }
-	m.l2.SetProbe(b, telemetry.KindL2Access, telemetry.KindL2Evict, -1, memNow)
-	m.net.SetProbe(b, memNow)
-	m.dram.SetProbe(b, memNow)
 }
 
 // Bus returns the attached telemetry bus (nil when detached). Policies use

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"equalizer/internal/cache"
-	"equalizer/internal/telemetry"
 )
 
 // Request is one outstanding cache-line read travelling from an SM towards
@@ -65,12 +64,6 @@ type Network struct {
 	// rr is the round-robin pointer for fairness across SM ports.
 	rr    int
 	stats Stats
-
-	// probe emits per-port queue-depth samples and stall events; nil (free)
-	// until SetProbe attaches a bus. probeNow supplies the owner's current
-	// simulation time.
-	probe    *telemetry.Bus
-	probeNow func() int64
 }
 
 // New builds a network.
@@ -94,14 +87,6 @@ func MustNew(cfg Config) *Network {
 	return n
 }
 
-// SetProbe wires the network to a telemetry bus: every accepted Push emits
-// a KindICNTQueue event carrying the port's new depth, and every rejected
-// Push emits KindICNTStall. now supplies the owner's current simulation
-// time in picoseconds. A nil bus detaches the probe.
-func (n *Network) SetProbe(b *telemetry.Bus, now func() int64) {
-	n.probe, n.probeNow = b, now
-}
-
 // CanPush reports whether SM sm's ingress FIFO has room.
 func (n *Network) CanPush(sm int) bool { return len(n.queues[sm]) < n.cfg.QueueDepth }
 
@@ -110,16 +95,10 @@ func (n *Network) Push(r Request) bool {
 	q := n.queues[r.SM]
 	if len(q) >= n.cfg.QueueDepth {
 		n.stats.Stalled++
-		if n.probe.Enabled(telemetry.KindICNTStall) {
-			n.probe.Emit(n.probeNow(), telemetry.KindICNTStall, int16(r.SM), int64(len(q)), 0)
-		}
 		return false
 	}
 	n.queues[r.SM] = append(q, r)
 	n.stats.Pushed++
-	if n.probe.Enabled(telemetry.KindICNTQueue) {
-		n.probe.Emit(n.probeNow(), telemetry.KindICNTQueue, int16(r.SM), int64(len(q)+1), 0)
-	}
 	return true
 }
 

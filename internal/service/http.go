@@ -21,7 +21,6 @@ import (
 //	POST /v1/sweep       a batch of runs (kernels×setups cross product)
 //	GET  /v1/kernels     available kernels
 //	GET  /metrics        telemetry registry, Prometheus text format
-//	GET  /metrics.json   telemetry registry, JSON
 //	GET  /healthz        process liveness
 //	GET  /readyz         admission readiness (503 while draining)
 //
@@ -32,7 +31,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("/v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
 	mux.HandleFunc("/v1/kernels", s.instrument("/v1/kernels", s.handleKernels))
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	return mux
@@ -261,13 +259,6 @@ func (s *Service) handleKernels(w http.ResponseWriter, r *http.Request, tr *acti
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.reg.WritePrometheus(w); err != nil {
-		s.log.Warn("metrics write failed", slog.String("error", err.Error()))
-	}
-}
-
-func (s *Service) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.reg.WriteJSON(w); err != nil {
 		s.log.Warn("metrics write failed", slog.String("error", err.Error()))
 	}
 }

@@ -6,7 +6,7 @@
 //
 // The package is built around operability: admission control with a bounded
 // queue (429 + Retry-After on overload), graceful drain, the telemetry
-// registry served live at /metrics and /metrics.json, per-stage latency
+// registry served live at /metrics in Prometheus text, per-stage latency
 // histograms (queue wait, dedup, cache lookup, simulation, encode), request
 // IDs propagated through structured logs and a ring-buffer request-trace
 // endpoint (/debug/requests, Chrome-trace exportable), and /healthz +

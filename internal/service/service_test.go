@@ -442,14 +442,14 @@ func TestMetricsEndpoints(t *testing.T) {
 		}
 	}
 
+	// Prometheus text is the only exposition format.
 	resp, err = http.Get(srv.URL + "/metrics.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var families []map[string]any
-	decodeBody(t, resp, &families)
-	if len(families) == 0 {
-		t.Error("/metrics.json returned no families")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/metrics.json = %d, want 404", resp.StatusCode)
 	}
 
 	resp, err = http.Get(srv.URL + "/healthz")

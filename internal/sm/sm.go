@@ -328,19 +328,10 @@ func (s *SM) SetMemIssueMask(m uint64) { s.memIssueMask = m }
 // SetL1Listener installs (or clears, with nil) an L1 activity observer.
 func (s *SM) SetL1Listener(l L1Listener) { s.listener = l }
 
-// SetProbe wires the SM (and its L1 cache) to a telemetry bus. The SM emits
-// warp-issue events, the per-cycle stall census, block launch/finish and
-// CTA pause/unpause transitions; the L1 emits access and eviction events.
-// A nil bus detaches everything.
-func (s *SM) SetProbe(b *telemetry.Bus) {
-	s.probe = b
-	if b == nil {
-		s.l1.SetProbe(nil, 0, 0, 0, nil)
-		return
-	}
-	s.l1.SetProbe(b, telemetry.KindL1Access, telemetry.KindL1Evict,
-		int16(s.index), func() int64 { return s.nowPS })
-}
+// SetProbe wires the SM to a telemetry bus. The SM emits warp-issue
+// events, the per-cycle stall census, block launch/finish and CTA
+// pause/unpause transitions. A nil bus detaches the probe.
+func (s *SM) SetProbe(b *telemetry.Bus) { s.probe = b }
 
 // ResidentBlocks returns the number of blocks currently occupying slots.
 func (s *SM) ResidentBlocks() int { return s.residentBlocks }

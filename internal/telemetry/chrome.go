@@ -288,9 +288,6 @@ func WriteChromeTrace(w io.Writer, events []Event, opts ChromeOptions) error {
 				complete("paused", "cta", p.start, e.TimePS, smPID(e.Src), int(e.A), nil)
 				delete(openPauses, k)
 			}
-		case KindICNTQueue:
-			counter("icnt queue", e.TimePS, smPID(e.Src), 0,
-				map[string]any{"depth": e.A})
 		}
 	}
 

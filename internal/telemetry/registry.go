@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -391,56 +390,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// jsonSeries is the JSON export shape of one series.
-type jsonSeries struct {
-	Labels Labels `json:"labels,omitempty"`
-	// Value holds the counter or gauge value.
-	Value *float64 `json:"value,omitempty"`
-	// Buckets, Sum and Count describe a histogram.
-	Buckets map[string]uint64 `json:"buckets,omitempty"`
-	Sum     *float64          `json:"sum,omitempty"`
-	Count   *uint64           `json:"count,omitempty"`
-}
-
-// jsonFamily is the JSON export shape of one metric family.
-type jsonFamily struct {
-	Name   string       `json:"name"`
-	Type   string       `json:"type"`
-	Help   string       `json:"help,omitempty"`
-	Series []jsonSeries `json:"series"`
-}
-
-// WriteJSON exports the registry as an indented JSON array of metric
-// families, deterministically ordered.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	var out []jsonFamily
-	for _, f := range r.sortedFamilies() {
-		jf := jsonFamily{Name: f.name, Type: string(f.typ), Help: f.help}
-		for _, s := range f.sortedSeries() {
-			js := jsonSeries{Labels: s.labels}
-			switch f.typ {
-			case typeCounter:
-				v := float64(s.ctr.Value())
-				js.Value = &v
-			case typeGauge:
-				v := s.gauge.Value()
-				js.Value = &v
-			case typeHistogram:
-				js.Buckets = make(map[string]uint64, len(s.hist.bounds)+1)
-				for i, bound := range s.hist.bounds {
-					js.Buckets[formatFloat(bound)] = s.hist.counts[i].Load()
-				}
-				js.Buckets["+Inf"] = s.hist.counts[len(s.hist.bounds)].Load()
-				sum, count := s.hist.Sum(), s.hist.Count()
-				js.Sum, js.Count = &sum, &count
-			}
-			jf.Series = append(jf.Series, js)
-		}
-		out = append(out, jf)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -84,38 +83,6 @@ func TestPrometheusDeterministicOrder(t *testing.T) {
 	zzz := strings.Index(first, "zzz_total")
 	if !(aaa >= 0 && aaa < aaa1 && aaa1 < zzz) {
 		t.Fatalf("series out of order:\n%s", first)
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("hits_total", "cache hits", Labels{"level": "l1"}).Set(7)
-	r.Histogram("ipc", "", []float64{1}, nil).Observe(0.5)
-	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var doc []struct {
-		Name   string `json:"name"`
-		Type   string `json:"type"`
-		Series []struct {
-			Labels  map[string]string `json:"labels"`
-			Value   *float64          `json:"value"`
-			Buckets map[string]uint64 `json:"buckets"`
-			Count   *uint64           `json:"count"`
-		} `json:"series"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(doc) != 2 || doc[0].Name != "hits_total" || doc[1].Name != "ipc" {
-		t.Fatalf("unexpected families: %+v", doc)
-	}
-	if doc[0].Series[0].Value == nil || *doc[0].Series[0].Value != 7 {
-		t.Fatalf("counter value: %+v", doc[0].Series[0])
-	}
-	if doc[1].Series[0].Buckets["1"] != 1 || *doc[1].Series[0].Count != 1 {
-		t.Fatalf("histogram: %+v", doc[1].Series[0])
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package telemetry is the observability spine of the simulator: a
-// zero-allocation probe bus that every layer (SM, caches, interconnect,
-// DRAM, Equalizer runtime, machine composition) emits cycle-stamped events
-// into, a named counter/gauge/histogram registry exported as JSON or
-// Prometheus text, and trace exporters (Chrome trace-event JSON for
-// Perfetto).
+// zero-allocation probe bus that the SMs, the Equalizer runtime and the
+// machine composition emit cycle-stamped events into, a named
+// counter/gauge/histogram registry exported as Prometheus text, and trace
+// exporters (Chrome trace-event JSON for Perfetto). The caches,
+// interconnect and DRAM emit no events; their counters reach the registry
+// through gpu.(*Machine).Collect.
 //
 // The bus is designed so that a disabled probe costs essentially nothing:
 // Emit on a nil *Bus, or for a Kind outside the bus mask, is a branch and a
@@ -58,26 +59,6 @@ const (
 	// the SM; A packs active<<24 | waiting<<16 | xalu<<8 | xmem; B is the
 	// issue count. Very high volume: one event per SM per cycle.
 	KindStallCensus
-	// KindL1Access records an L1 probe. Src is the SM; A is the line
-	// address; B is the cache.AccessResult ordinal. High volume.
-	KindL1Access
-	// KindL1Evict records an L1 fill evicting a victim line. Src is the
-	// SM; A is the victim line address.
-	KindL1Evict
-	// KindL2Access records an L2 probe. Src is -1; A is the line address;
-	// B is the cache.AccessResult ordinal. High volume.
-	KindL2Access
-	// KindL2Evict records an L2 eviction. Src is -1; A is the victim line.
-	KindL2Evict
-	// KindICNTQueue samples one SM port's ingress FIFO depth after a push.
-	// Src is the SM; A is the depth.
-	KindICNTQueue
-	// KindICNTStall records a push rejected by a full FIFO. Src is the SM;
-	// A is the FIFO depth (the configured queue capacity).
-	KindICNTStall
-	// KindDRAMReject records an Enqueue attempt that found the controller
-	// queue full. Src is -1; A is the line address.
-	KindDRAMReject
 
 	numKinds // must stay <= 64
 )
@@ -117,13 +98,6 @@ var kindNames = [...]string{
 	KindCTAUnpause:    "cta_unpause",
 	KindWarpIssue:     "warp_issue",
 	KindStallCensus:   "stall_census",
-	KindL1Access:      "l1_access",
-	KindL1Evict:       "l1_evict",
-	KindL2Access:      "l2_access",
-	KindL2Evict:       "l2_evict",
-	KindICNTQueue:     "icnt_queue",
-	KindICNTStall:     "icnt_stall",
-	KindDRAMReject:    "dram_reject",
 }
 
 // Mask selects which kinds a bus records. The zero mask records nothing.
@@ -150,13 +124,6 @@ var MaskSpans = MaskOf(
 	KindCTAPause, KindCTAUnpause,
 )
 
-// MaskMemory enables the memory-system kinds (cache probes, interconnect
-// depth and stalls, DRAM queue rejects). High volume.
-var MaskMemory = MaskOf(
-	KindL1Access, KindL1Evict, KindL2Access, KindL2Evict,
-	KindICNTQueue, KindICNTStall, KindDRAMReject,
-)
-
 // Has reports whether the mask includes k.
 func (m Mask) Has(k Kind) bool { return m&(1<<k) != 0 }
 
@@ -168,7 +135,7 @@ type Event struct {
 	// A and B are kind-specific payload words.
 	A, B int64
 	// Src is the emitting unit: an SM index, partition or domain
-	// ordinal; -1 for machine-global events.
+	// ordinal; -1 for the machine-global KindEpoch.
 	Src int16
 	// Kind is the event type.
 	Kind Kind

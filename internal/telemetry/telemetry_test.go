@@ -40,7 +40,7 @@ func TestBusWrapsOverwritingOldest(t *testing.T) {
 func TestBusMaskFilters(t *testing.T) {
 	b := NewBus(8, MaskOf(KindEpoch))
 	b.Emit(0, KindWarpIssue, 0, 0, 0)
-	b.Emit(0, KindL1Access, 0, 0, 0)
+	b.Emit(0, KindStallCensus, 0, 0, 0)
 	b.Emit(0, KindEpoch, -1, 1, 0)
 	if b.Len() != 1 {
 		t.Fatalf("Len = %d, want only the masked-in kind", b.Len())
