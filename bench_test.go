@@ -184,16 +184,24 @@ func BenchmarkSimulatorCyclesPerSecond(b *testing.B) {
 }
 
 // BenchmarkEngine runs one compute-bound kernel (cutcp saturates the ALU
-// pipes) and one memory-bound kernel (lbm stalls on DRAM) to completion
-// under Equalizer and reports simulated SM cycles per wall second: the
-// cycle-engine smoke benchmark CI tracks (`go run ./bench` holds the
-// full-scale numbers as gpu.run_ns_per_cycle).
+// pipes), one memory-bound kernel (lbm stalls on DRAM) and one cache-bound
+// kernel at grid scale 0.25 (bfs-2, whose SMs are often empty and whose L2
+// hits queue for their reply) to completion under Equalizer and reports
+// simulated SM cycles per wall second: the cycle-engine smoke benchmark CI
+// tracks (`go run ./bench` holds the full-scale numbers as
+// gpu.run_ns_per_cycle).
 func BenchmarkEngine(b *testing.B) {
-	for _, kernel := range []string{"cutcp", "lbm"} {
-		b.Run(kernel, func(b *testing.B) {
-			k, err := kernels.ByName(kernel)
+	for _, row := range []struct {
+		kernel string
+		scale  float64
+	}{{"cutcp", 1}, {"lbm", 1}, {"bfs-2", benchScale}} {
+		b.Run(row.kernel, func(b *testing.B) {
+			k, err := kernels.ByName(row.kernel)
 			if err != nil {
 				b.Fatal(err)
+			}
+			if row.scale != 1 {
+				k = k.WithGridScale(row.scale, config.Default().NumSMs)
 			}
 			b.ReportAllocs()
 			var cycles int64

@@ -4,7 +4,7 @@ package events
 // pushes cluster a bounded horizon ahead of a monotonically advancing cursor
 // (cache-hit latencies, DRAM returns, dependency gaps), and PopReady is called
 // once per cycle with a non-decreasing `now`. Delivering a cycle's expirations
-// costs O(delivered) instead of the heap's O(delivered·log n).
+// costs O(delivered), whatever the number of pending entries.
 //
 // Ordering contract: PopReady delivers whole buckets in time-bucket order and
 // entries within a bucket in insertion order — NOT globally sorted by
@@ -13,7 +13,7 @@ package events
 // independent per-warp counter or clears an independent bit). Callers that
 // need strict (time, insertion) order keep using Queue.
 //
-// Entries scheduled beyond the wheel's horizon go to an overflow min-heap and
+// Entries scheduled beyond the wheel's horizon go to an overflow Queue and
 // pop from there when due; they are never migrated into the wheel.
 type Calendar[T any] struct {
 	buckets [][]calEntry[T]

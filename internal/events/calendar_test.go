@@ -18,7 +18,7 @@ func (r *lcg) intn(n int64) int64 { return int64(r.next() % uint64(n)) }
 
 // drain collects deliveries from one PopReady call as a sorted multiset —
 // the calendar's within-bucket insertion order is documented to differ from
-// the heap's timestamp order, but the delivered set per call must match.
+// Queue's timestamp order, but the delivered set per call must match.
 func drainCalendar(c *Calendar[int], now int64) []int {
 	var got []int
 	c.PopReady(now, func(v int) { got = append(got, v) })
@@ -97,6 +97,27 @@ func TestCalendarMatchesQueue(t *testing.T) {
 			step(9000)
 			push(8000, 2) // late: 8000 < cursor
 			step(9001)
+		}},
+		{"idle-gap", func(t *testing.T, push func(int64, int), step func(int64)) {
+			// The wheel is busy, drains, and is not popped for several wheel
+			// spans (an SM with no block). It resumes as an SM does: one pop
+			// moves the stale cursor, then near-term pushes land in buckets
+			// that wrap onto the ones the cursor left behind.
+			for i := 0; i < 20; i++ {
+				push(int64(1000+i*300), i)
+				step(int64(1000 + i*250))
+			}
+			step(8000)
+			resume := int64(8000 + 5*256*1000 + 640)
+			push(resume+500, 99) // before the first pop after the gap
+			step(resume)
+			for i := 0; i < 20; i++ {
+				push(resume+int64(i%7)*1000, 100+i)
+				push(resume+int64(i%3)*1000+999, 200+i)
+			}
+			for now := resume; now < resume+12_000; now += 1000 {
+				step(now)
+			}
 		}},
 		{"interleaved-random", func(t *testing.T, push func(int64, int), step func(int64)) {
 			r := lcg(42)

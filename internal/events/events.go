@@ -1,91 +1,63 @@
-// Package events provides a small time-ordered event queue used by the SM
-// model to schedule warp wake-ups (ALU dependency expiry, load-data returns).
-// It is a binary min-heap keyed by an int64 timestamp; entries with equal
-// timestamps pop in insertion order so simulations stay deterministic.
+// Package events provides the simulator's two time-ordered event queues.
+// Queue delivers in strict (time, insertion) order; the memory system uses
+// it to delay L2 hit replies, whose delivery order decides the L1 fill
+// order. Calendar is a bucketed timer wheel for the SM's wake-up queues,
+// whose handlers tolerate any order within a bucket.
 package events
 
-// Queue is a min-heap of timed values. The zero value is ready to use.
+// Queue is a time-ordered ring of timed values: items[head:] is sorted by
+// timestamp, equal timestamps in insertion order. Pushes usually arrive in
+// time order, so Push is an append plus a short (usually empty) shift, and
+// PopReady reads from the head. The zero value is ready to use.
 type Queue[T any] struct {
 	items []entry[T]
-	seq   uint64
+	head  int
 }
 
 type entry[T any] struct {
 	at  int64
-	seq uint64
 	val T
 }
 
-// Len returns the number of pending events.
-func (q *Queue[T]) Len() int { return len(q.items) }
+// compactAt is the number of popped entries the ring lets build up at the
+// front of its slice before moving the pending ones down. Popping the queue
+// empty rewinds it for free, so this only bounds the dead prefix of a queue
+// that never drains.
+const compactAt = 64
 
-// Push schedules v at time at.
+// Len returns the number of pending events.
+func (q *Queue[T]) Len() int { return len(q.items) - q.head }
+
+// Push schedules v at time at. It shifts the new entry back past every
+// pending entry with a later timestamp, so equal timestamps keep insertion
+// order.
 func (q *Queue[T]) Push(at int64, v T) {
-	q.items = append(q.items, entry[T]{at: at, seq: q.seq, val: v})
-	q.seq++
-	q.up(len(q.items) - 1)
+	q.items = append(q.items, entry[T]{})
+	i := len(q.items) - 1
+	for ; i > q.head && q.items[i-1].at > at; i-- {
+		q.items[i] = q.items[i-1]
+	}
+	q.items[i] = entry[T]{at: at, val: v}
 }
 
 // PopReady delivers every event with timestamp <= now to f, in time order
-// (ties in insertion order).
+// (ties in insertion order). f may Push.
 func (q *Queue[T]) PopReady(now int64, f func(T)) {
-	for len(q.items) > 0 && q.items[0].at <= now {
-		f(q.pop())
+	for q.head < len(q.items) && q.items[q.head].at <= now {
+		q.head++
+		f(q.items[q.head-1].val)
+	}
+	if q.head > 0 && (q.head == len(q.items) || q.head >= compactAt) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
 	}
 }
 
 // Reset drops all pending events.
 func (q *Queue[T]) Reset() {
+	clear(q.items)
 	q.items = q.items[:0]
-	q.seq = 0
-}
-
-func (q *Queue[T]) pop() T {
-	top := q.items[0].val
-	last := len(q.items) - 1
-	q.items[0] = q.items[last]
-	var zero entry[T]
-	q.items[last] = zero
-	q.items = q.items[:last]
-	if len(q.items) > 0 {
-		q.down(0)
-	}
-	return top
-}
-
-func (q *Queue[T]) less(i, j int) bool {
-	if q.items[i].at != q.items[j].at {
-		return q.items[i].at < q.items[j].at
-	}
-	return q.items[i].seq < q.items[j].seq
-}
-
-func (q *Queue[T]) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			return
-		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
-		i = parent
-	}
-}
-
-func (q *Queue[T]) down(i int) {
-	n := len(q.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && q.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		q.items[i], q.items[smallest] = q.items[smallest], q.items[i]
-		i = smallest
-	}
+	q.head = 0
 }

@@ -95,3 +95,66 @@ func TestQuickHeapOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQueueMatchesStableSort checks the ring against a stable sort by
+// timestamp: PopReady calls interleave with pushes that are in order, out of
+// order and at equal times, and each call must deliver exactly the oracle's
+// due prefix in the oracle's order. Hundreds of entries pass through, so
+// compaction of the popped prefix is reached with entries still pending.
+func TestQueueMatchesStableSort(t *testing.T) {
+	type item struct {
+		at int64
+		id int
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := lcg(seed)
+		var q Queue[int]
+		var oracle []item // pending, in push order
+		now := int64(0)
+		compacted := false
+		for id := 0; id < 600; id++ {
+			var at int64
+			switch r.intn(4) {
+			case 0: // in order, the common case
+				at = now + 20 + r.intn(8)
+			case 1: // equal times: insertion order must hold
+				at = now + 24
+			case 2: // out of order, earlier than recent pushes
+				at = now + r.intn(20)
+			default: // already due
+				at = now - r.intn(5)
+			}
+			q.Push(at, id)
+			oracle = append(oracle, item{at, id})
+			if r.intn(3) != 0 {
+				continue
+			}
+			now += r.intn(12)
+			sort.SliceStable(oracle, func(i, j int) bool { return oracle[i].at < oracle[j].at })
+			var want []int
+			for len(oracle) > 0 && oracle[0].at <= now {
+				want = append(want, oracle[0].id)
+				oracle = oracle[1:]
+			}
+			var got []int
+			q.PopReady(now, func(v int) { got = append(got, v) })
+			if len(got) != len(want) {
+				t.Fatalf("seed %d: PopReady(%d) delivered %v, want %v", seed, now, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d: PopReady(%d) delivered %v, want %v", seed, now, got, want)
+				}
+			}
+			if q.Len() != len(oracle) {
+				t.Fatalf("seed %d: Len %d after PopReady(%d), want %d", seed, q.Len(), now, len(oracle))
+			}
+			// Popping advances head, so a zero head after a delivery that
+			// left entries pending means the ring compacted them down.
+			compacted = compacted || (len(got) > 0 && q.head == 0 && q.Len() > 0)
+		}
+		if !compacted {
+			t.Fatalf("seed %d: compaction of a non-empty ring never reached", seed)
+		}
+	}
+}

@@ -294,16 +294,6 @@ func (m *Machine) SetAllTargetBlocks(n int) {
 	}
 }
 
-// BlocksRemaining reports grid blocks not yet dispatched, over all
-// partitions.
-func (m *Machine) BlocksRemaining() int {
-	total := 0
-	for p := range m.parts {
-		total += m.parts[p].totalBlocks - m.parts[p].nextBlock
-	}
-	return total
-}
-
 // maxInvocationCycles bounds one invocation as a deadlock backstop.
 const maxInvocationCycles = 30_000_000
 

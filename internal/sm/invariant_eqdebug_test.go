@@ -28,14 +28,21 @@ func TestInvariantsCatchCorruption(t *testing.T) {
 		{"pausing", func(s *SM) { s.activeBlocks, s.residentBlocks = 0, 1 }, "pausing drift"},
 		{"warp slots", func(s *SM) { s.freeWarpSlots = s.freeWarpSlots[:len(s.freeWarpSlots)-1] }, "warp-slot leak"},
 		{"l1 waiters", func(s *SM) { s.l1Waiters[0] = append(s.l1Waiters[0], 5) }, "L1 waiter leak"},
+		// An SM without a block cannot have a miss in flight; the idle
+		// Step relies on it, so this case steps once to reach the check.
+		{"idle miss", func(s *SM) {
+			s.l1.Access(0)
+			s.addWaiter(5)
+			s.Step(period, period)
+		}, "idle with L1 misses"},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(config.Default(), 0)
-			tc.corrupt(s)
 			var recovered any
 			func() {
 				defer func() { recovered = recover() }()
+				tc.corrupt(s)
 				s.verifyInvariants()
 				s.recountInvariants()
 			}()

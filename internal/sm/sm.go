@@ -251,7 +251,7 @@ type SM struct {
 
 // wakeCalendarBuckets sizes the wheel: the common wake horizon (L1 hit
 // latency, DRAM round trips, dependency gaps) fits a few hundred SM cycles;
-// rarer far-future wakes spill to the calendar's overflow heap.
+// rarer far-future wakes spill to the calendar's overflow queue.
 const wakeCalendarBuckets = 256
 
 // New builds an SM with the given index. It panics when the configuration
@@ -335,9 +335,6 @@ func (s *SM) SetProbe(b *telemetry.Bus) { s.probe = b }
 
 // ResidentBlocks returns the number of blocks currently occupying slots.
 func (s *SM) ResidentBlocks() int { return s.residentBlocks }
-
-// ActiveBlocks returns resident minus paused blocks.
-func (s *SM) ActiveBlocks() int { return s.activeBlocks }
 
 // LiveWarps returns resident unfinished warps (paused included).
 func (s *SM) LiveWarps() int { return s.liveWarps }
@@ -502,6 +499,10 @@ func (s *SM) Idle() bool {
 func (s *SM) Step(now clock.Time, smPeriod clock.Time) {
 	s.nowPS = int64(now)
 	s.stats.Cycles++
+	if s.Idle() {
+		s.stepIdle(now)
+		return
+	}
 	if s.residentBlocks > 0 {
 		s.stats.ActiveCycles++
 	}
@@ -524,6 +525,25 @@ func (s *SM) Step(now clock.Time, smPeriod clock.Time) {
 	}
 
 	if invariant.Enabled {
+		s.verifyInvariants()
+	}
+}
+
+// stepIdle is Step for an SM that holds no work: the census is all zeros and
+// nothing can change, so the calendar pops, queue drains and issue stage are
+// skipped. Skipping them is exact. A warp reaches EXIT only once its
+// pendingLines are zero, so an SM without a resident block has no
+// outstanding L1 miss and nothing can push into its calendars before the
+// next non-idle Step, which pops them first. The calendars' bases are then
+// pinned at that Step rather than at cycle 1, which renumbers buckets but,
+// by Calendar's contract, does not change delivery.
+func (s *SM) stepIdle(now clock.Time) {
+	s.snap = Snapshot{}
+	s.probe.Emit(int64(now), telemetry.KindStallCensus, int16(s.index), 0, 0)
+	if invariant.Enabled {
+		invariant.Checkf(s.l1.OutstandingMisses() == 0 && s.L1Waiters() == 0,
+			"sm %d idle with L1 misses in flight: %d outstanding, %d waiters",
+			s.index, s.l1.OutstandingMisses(), s.L1Waiters())
 		s.verifyInvariants()
 	}
 }

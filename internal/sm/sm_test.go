@@ -6,6 +6,7 @@ import (
 	"equalizer/internal/cache"
 	"equalizer/internal/clock"
 	"equalizer/internal/config"
+	"equalizer/internal/telemetry"
 	"equalizer/internal/warp"
 )
 
@@ -153,8 +154,8 @@ func TestSetTargetBlocksPausesYoungest(t *testing.T) {
 		s.LaunchBlock(prof, b, 8)
 	}
 	s.SetTargetBlocks(2)
-	if s.ActiveBlocks() != 2 {
-		t.Fatalf("active blocks = %d after throttle, want 2", s.ActiveBlocks())
+	if s.activeBlocks != 2 {
+		t.Fatalf("active blocks = %d after throttle, want 2", s.activeBlocks)
 	}
 	if s.ResidentBlocks() != 4 {
 		t.Fatalf("resident blocks = %d, want 4 (paused stay resident)", s.ResidentBlocks())
@@ -166,8 +167,8 @@ func TestSetTargetBlocksPausesYoungest(t *testing.T) {
 		t.Fatalf("active warps = %d with 2 active blocks, want 16", a)
 	}
 	s.SetTargetBlocks(4)
-	if s.ActiveBlocks() != 4 {
-		t.Fatalf("active blocks = %d after unpause, want 4", s.ActiveBlocks())
+	if s.activeBlocks != 4 {
+		t.Fatalf("active blocks = %d after unpause, want 4", s.activeBlocks)
 	}
 }
 
@@ -178,7 +179,7 @@ func TestPausedBlockResumesWhenActiveFinishes(t *testing.T) {
 	s.LaunchBlock(short, 0, 8)
 	s.LaunchBlock(long, 1, 8)
 	s.SetTargetBlocks(1) // pauses the long block (youngest)
-	if s.ActiveBlocks() != 1 {
+	if s.activeBlocks != 1 {
 		t.Fatal("throttle did not pause")
 	}
 	now := clock.Time(0)
@@ -189,9 +190,9 @@ func TestPausedBlockResumesWhenActiveFinishes(t *testing.T) {
 	if s.Stats().BlocksFinished != 1 {
 		t.Fatal("short block never finished")
 	}
-	if s.ActiveBlocks() != 1 || s.ResidentBlocks() != 1 {
+	if s.activeBlocks != 1 || s.ResidentBlocks() != 1 {
 		t.Fatalf("active=%d resident=%d after finish, want 1/1 (long block unpaused)",
-			s.ActiveBlocks(), s.ResidentBlocks())
+			s.activeBlocks, s.ResidentBlocks())
 	}
 }
 
@@ -453,5 +454,81 @@ func TestL1ListenerObservesTraffic(t *testing.T) {
 	}
 	if l.evicts == 0 {
 		t.Fatal("listener saw no evictions despite thrashing working set")
+	}
+}
+
+// TestIdleSMStep steps an SM that holds no block for longer than its
+// calendars span, then checks that a block launched afterwards runs exactly
+// as on an SM that launched it before its first cycle.
+func TestIdleSMStep(t *testing.T) {
+	prof := &warp.Profile{LineBytes: 128, Phases: []warp.Phase{
+		{Insts: 120, MemEvery: 3, ALUGap: 2, Pattern: warp.PrivateReuse, WorkingSetLines: 4},
+		{Insts: 60, MemEvery: 4, ALUGap: 3, Pattern: warp.Streaming, Barrier: true},
+	}}
+	// run steps a fresh SM idle for idle cycles, launches the block and
+	// runs it to completion behind a memory that answers every miss 100
+	// cycles later. It returns the census events of the launched block with
+	// times relative to its launch, and the SM's stats.
+	run := func(idle int) ([]telemetry.Event, Stats) {
+		s := New(testCfg(), 0)
+		bus := telemetry.NewBus(1<<16, telemetry.MaskOf(telemetry.KindStallCensus))
+		s.SetProbe(bus)
+		now := clock.Time(0)
+		for c := 0; c < idle; c++ {
+			now += period
+			s.Step(now, period)
+		}
+		st := s.Stats()
+		if st.Cycles != uint64(idle) || st.ActiveCycles != 0 {
+			t.Fatalf("after %d idle cycles: Cycles=%d ActiveCycles=%d, want %d and 0",
+				idle, st.Cycles, st.ActiveCycles, idle)
+		}
+		if s.Snapshot() != (Snapshot{}) {
+			t.Fatalf("idle snapshot = %+v, want zero", s.Snapshot())
+		}
+		census := bus.Events()
+		if len(census) != idle {
+			t.Fatalf("%d census events for %d idle cycles", len(census), idle)
+		}
+		for i, e := range census {
+			if e.TimePS != int64(i+1)*int64(period) || e.A != 0 || e.B != 0 {
+				t.Fatalf("idle census %d = %+v, want zero at %d ps", i, e, int64(i+1)*int64(period))
+			}
+		}
+		bus.Reset()
+
+		launch := now
+		s.LaunchBlock(prof, 0, 8)
+		for c := 0; c < 100_000 && !s.Idle(); c++ {
+			now += period
+			s.Step(now, period)
+			if r, ok := s.TakeOutbox(); ok {
+				s.DeliverLine(r.Line, now+100*period)
+			}
+		}
+		if !s.Idle() {
+			t.Fatalf("block launched after %d idle cycles never finished", idle)
+		}
+		census = bus.Events()
+		for i := range census {
+			census[i].TimePS -= int64(launch)
+		}
+		st = s.Stats()
+		st.Cycles = 0
+		return census, st
+	}
+
+	wantCensus, wantStats := run(0)
+	gotCensus, gotStats := run(wakeCalendarBuckets + 37)
+	if gotStats != wantStats {
+		t.Fatalf("stats after an idle prefix = %+v, want %+v", gotStats, wantStats)
+	}
+	if len(gotCensus) != len(wantCensus) {
+		t.Fatalf("%d census events after an idle prefix, want %d", len(gotCensus), len(wantCensus))
+	}
+	for i := range wantCensus {
+		if gotCensus[i] != wantCensus[i] {
+			t.Fatalf("census %d after an idle prefix = %+v, want %+v", i, gotCensus[i], wantCensus[i])
+		}
 	}
 }
