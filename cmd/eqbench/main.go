@@ -18,37 +18,58 @@
 // persist in a disk cache (-cache-dir, default .eqcache; -no-cache disables
 // it), so a rerun with unchanged configuration simulates nothing. Scheduler
 // and cache statistics print to stderr after each invocation.
+//
+// -svg DIR also draws fig2b fig4 fig5 fig7 fig8 fig10 and fig11b as
+// DIR/<id>.svg from the same data the text prints, so the images cost no
+// extra simulation:
+//
+//	eqbench -exp all -svg figures > experiments_raw.txt
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
+	"equalizer/internal/core"
 	"equalizer/internal/exp"
 	"equalizer/internal/exp/runcache"
+	"equalizer/internal/policy"
+	"equalizer/internal/svg"
 	"equalizer/internal/telemetry"
 )
 
+// options are the output choices, split from the flag and os.Exit
+// machinery so tests can drive emit directly.
+type options struct {
+	exp    string
+	json   bool
+	svgDir string
+}
+
 func main() {
 	var (
-		expName    = flag.String("exp", "summary", "experiment id or 'all'")
+		opts       options
 		scale      = flag.Float64("scale", 1.0, "grid-size scale factor (0,1]")
-		asJSON     = flag.Bool("json", false, "emit JSON instead of text (fig7, fig8, fig10, summary, boost)")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		cacheDir   = flag.String("cache-dir", ".eqcache", "persistent result-cache directory")
 		noCache    = flag.Bool("no-cache", false, "disable the persistent result cache")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
+	flag.StringVar(&opts.exp, "exp", "summary", "experiment id or 'all'")
+	flag.BoolVar(&opts.json, "json", false, "emit JSON instead of text (fig7, fig8, fig10, summary, boost)")
+	flag.StringVar(&opts.svgDir, "svg", "", "also write each figure's SVG image to this directory")
 	flag.Parse()
 	stopProfiling, err := telemetry.StartProfiling(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "eqbench: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	defer func() {
 		if err := stopProfiling(); err != nil {
@@ -57,36 +78,60 @@ func main() {
 	}()
 	h, err := newHarness(*scale, *parallel, *cacheDir, *noCache)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "eqbench: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	if *asJSON {
-		start := time.Now()
-		if err := runJSON(h, *expName); err != nil {
-			fmt.Fprintf(os.Stderr, "eqbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs]\n", *expName, time.Since(start).Seconds())
-		printStats(h)
-		return
+	if err := emit(h, opts, os.Stdout); err != nil {
+		fatal(err)
 	}
+	printStats(h)
+}
 
-	names := strings.Split(*expName, ",")
-	if *expName == "all" {
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "eqbench: %v\n", err)
+	os.Exit(1)
+}
+
+// emit runs the selected experiments in order, printing each one's text (or
+// JSON) to w and, with svgDir set, writing each figure's image to
+// svgDir/<id>.svg. Per-experiment timing goes to stderr.
+func emit(h *exp.Harness, o options, w io.Writer) error {
+	if o.json && o.svgDir != "" {
+		return errors.New("-svg cannot be combined with -json")
+	}
+	if o.json {
+		start := time.Now()
+		if err := runJSON(h, o.exp, w); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs]\n", o.exp, time.Since(start).Seconds())
+		return nil
+	}
+	if o.svgDir != "" {
+		if err := os.MkdirAll(o.svgDir, 0o755); err != nil {
+			return err
+		}
+	}
+	names := strings.Split(o.exp, ",")
+	if o.exp == "all" {
 		names = []string{"table1", "table2", "table3", "fig1", "fig2a", "fig2b",
 			"fig4", "fig5", "fig7", "fig8", "fig9", "fig10", "fig11a", "fig11b", "summary"}
 	}
 	for _, name := range names {
+		name = strings.TrimSpace(name)
 		start := time.Now()
-		out, err := run(h, strings.TrimSpace(name))
+		text, doc, err := run(h, name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "eqbench: %s: %v\n", name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Println(out)
+		fmt.Fprintln(w, text)
+		if doc != "" && o.svgDir != "" {
+			if err := os.WriteFile(filepath.Join(o.svgDir, name+".svg"), []byte(doc), 0o644); err != nil {
+				return err
+			}
+		}
 		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs]\n", name, time.Since(start).Seconds())
 	}
-	printStats(h)
+	return nil
 }
 
 // newHarness wires the experiment harness with the pool width and the disk
@@ -118,103 +163,167 @@ func printStats(h *exp.Harness) {
 		st.CacheMisses, st.CacheStores, st.CacheErrors)
 }
 
-func run(h *exp.Harness, name string) (string, error) {
+// run renders one experiment as text and, for the seven figures with an
+// image form, as an SVG document drawn from the same data; every other
+// experiment returns an empty SVG.
+func run(h *exp.Harness, name string) (text, doc string, err error) {
 	switch name {
 	case "table1":
-		return h.Table1(), nil
+		return h.Table1(), "", nil
 	case "table2":
-		return h.Table2(), nil
+		return h.Table2(), "", nil
 	case "table3":
-		return h.Table3(), nil
+		return h.Table3(), "", nil
 	case "fig1":
 		d, err := h.Figure1()
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
-		return exp.RenderFigure1(d), nil
+		return exp.RenderFigure1(d), "", nil
 	case "fig2a":
 		d, err := h.Figure2a()
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
-		return exp.RenderFigure2a(d), nil
+		return exp.RenderFigure2a(d), "", nil
 	case "fig2b":
-		s, err := h.Figure2b()
+		pts, err := h.Figure2b()
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
-		return exp.RenderSeries("Figure 2b: mri_g-1 warp-state time series", s), nil
+		doc := svg.LineChart("Figure 2b: mri_g-1 warp states over execution", "epoch",
+			series(pts, func(p policy.EpochPoint) []float64 {
+				return []float64{p.Waiting, p.XMEM, p.XALU}
+			}, "waiting", "excess mem", "excess compute"), 900, 420)
+		return exp.RenderSeries("Figure 2b: mri_g-1 warp-state time series", pts), doc, nil
 	case "fig4":
 		rows, err := h.Figure4()
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
-		return exp.RenderFigure4(rows), nil
+		doc := barChart("Figure 4: state of warps (fraction of observations)", 1200, 460, rows,
+			func(r exp.Fig4Row) (string, []float64) {
+				return r.Kernel, []float64{r.Waiting, r.XALU, r.XMEM}
+			}, "waiting", "excess ALU", "excess mem")
+		return exp.RenderFigure4(rows), doc, nil
 	case "fig5":
 		rows, err := h.Figure5()
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
-		return exp.RenderFigure5(rows), nil
+		var curves []svg.Series
+		for _, r := range rows {
+			curves = append(curves, svg.Series{Name: r.Kernel, Values: r.Speedup})
+		}
+		doc := svg.LineChart("Figure 5: memory-kernel performance vs thread blocks",
+			"concurrent thread blocks", curves, 700, 420)
+		return exp.RenderFigure5(rows), doc, nil
 	case "fig7":
 		rows, err := h.Figure7()
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
-		return exp.RenderFigure7(rows), nil
+		doc := barChart("Figure 7: performance mode speedup", 1200, 460, rows,
+			func(r exp.Fig7Row) (string, []float64) {
+				return r.Kernel, []float64{r.Equalizer, r.SMBoost, r.MemBoost}
+			}, "equalizer", "SM boost", "mem boost")
+		return exp.RenderFigure7(rows), doc, nil
 	case "fig8":
 		rows, err := h.Figure8()
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
-		return exp.RenderFigure8(rows), nil
+		doc := barChart("Figure 8: energy mode performance", 1200, 460, rows,
+			func(r exp.Fig8Row) (string, []float64) {
+				return r.Kernel, []float64{r.Equalizer, r.SMLow, r.MemLow}
+			}, "equalizer", "SM low", "mem low")
+		return exp.RenderFigure8(rows), doc, nil
 	case "fig9":
 		rows, err := h.Figure9()
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
-		return exp.RenderFigure9(rows), nil
+		return exp.RenderFigure9(rows), "", nil
 	case "fig10":
 		rows, err := h.Figure10()
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
-		return exp.RenderFigure10(rows), nil
+		doc := barChart("Figure 10: Equalizer vs DynCTA vs CCWS", 800, 420, rows,
+			func(r exp.Fig10Row) (string, []float64) {
+				return r.Kernel, []float64{r.DynCTA, r.CCWS, r.EqualizerPf}
+			}, "dynCTA", "CCWS", "equalizer")
+		return exp.RenderFigure10(rows), doc, nil
 	case "fig11a":
 		d, err := h.Figure11a()
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
-		return exp.RenderFigure11a(d), nil
+		return exp.RenderFigure11a(d), "", nil
 	case "fig11b":
 		d, err := h.Figure11b()
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
-		return exp.RenderFigure11b(d), nil
+		eq := series(d.Equalizer, func(p core.TracePoint) []float64 {
+			return []float64{p.Counters.Active, p.Counters.Waiting}
+		}, "equalizer active warps", "equalizer waiting")
+		dyn := series(d.DynCTA, func(p policy.EpochPoint) []float64 {
+			return []float64{p.Active}
+		}, "dynCTA active warps")
+		doc := svg.LineChart("Figure 11b: spmv concurrency adaptation", "epoch", append(eq, dyn...), 900, 420)
+		return exp.RenderFigure11b(d), doc, nil
 	case "summary":
 		s, err := h.Summarize()
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
-		return exp.RenderSummary(s), nil
+		return exp.RenderSummary(s), "", nil
 	case "ablation":
-		return h.Ablations()
+		out, err := h.Ablations()
+		return out, "", err
 	case "concurrent":
-		return h.ConcurrentStudy()
+		out, err := h.ConcurrentStudy()
+		return out, "", err
 	case "boost":
 		rows, err := h.BoostComparison()
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
-		return exp.RenderBoostComparison(rows), nil
+		return exp.RenderBoostComparison(rows), "", nil
 	default:
-		return "", fmt.Errorf("unknown experiment %q", name)
+		return "", "", fmt.Errorf("unknown experiment %q", name)
 	}
 }
 
+// series transposes rows into one chart series per name: vals(r)[i] is row
+// r's point in series i.
+func series[R any](rows []R, vals func(R) []float64, names ...string) []svg.Series {
+	out := make([]svg.Series, len(names))
+	for i, n := range names {
+		out[i].Name = n
+	}
+	for _, r := range rows {
+		for i, v := range vals(r) {
+			out[i].Values = append(out[i].Values, v)
+		}
+	}
+	return out
+}
+
+// barChart draws one labelled bar group per row, one bar per series name.
+func barChart[R any](title string, w, ht int, rows []R, row func(R) (string, []float64), names ...string) string {
+	var labels []string
+	for _, r := range rows {
+		label, _ := row(r)
+		labels = append(labels, label)
+	}
+	vals := func(r R) []float64 { _, v := row(r); return v }
+	return svg.BarChart(title, labels, series(rows, vals, names...), w, ht)
+}
+
 // runJSON emits the structured form of the data-bearing experiments.
-func runJSON(h *exp.Harness, name string) error {
+func runJSON(h *exp.Harness, name string, w io.Writer) error {
 	var v interface{}
 	var err error
 	switch name {
@@ -234,7 +343,7 @@ func runJSON(h *exp.Harness, name string) error {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
 }

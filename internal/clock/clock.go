@@ -59,15 +59,6 @@ func (d *Domain) Name() string { return d.name }
 // Level returns the currently effective VF level.
 func (d *Domain) Level() config.VFLevel { return d.level }
 
-// PendingLevel returns the level that will become effective after the
-// in-flight regulator transition, or the current level when none is pending.
-func (d *Domain) PendingLevel() config.VFLevel {
-	if d.hasSwap {
-		return d.pending
-	}
-	return d.level
-}
-
 // Cycle returns the number of completed cycles.
 func (d *Domain) Cycle() int64 { return d.cycle }
 

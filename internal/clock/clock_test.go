@@ -72,19 +72,20 @@ func TestDomainTransitionDelay(t *testing.T) {
 
 func TestRequestSameLevelIsNoOp(t *testing.T) {
 	d := NewDomain("mem", 1000, 0.15)
+	// Requesting the current level schedules nothing: ticking past its
+	// effective time keeps the level and the nominal period.
 	d.RequestLevel(config.VFNormal, 100)
-	if d.PendingLevel() != config.VFNormal {
-		t.Fatalf("pending = %v, want normal", d.PendingLevel())
+	d.Tick()
+	if got := d.Tick(); got != 1000 || d.Level() != config.VFNormal {
+		t.Fatalf("tick at %d with level %v, want 1000 at normal", got, d.Level())
 	}
 	d.RequestLevel(config.VFHigh, 100)
-	if d.PendingLevel() != config.VFHigh {
-		t.Fatalf("pending = %v, want high", d.PendingLevel())
+	if d.Level() != config.VFNormal {
+		t.Fatalf("level = %v before the next tick, want normal", d.Level())
 	}
 	// Re-requesting the pending level must not extend the transition.
 	d.RequestLevel(config.VFHigh, 99999)
-	for i := 0; i < 2; i++ {
-		d.Tick()
-	}
+	d.Tick()
 	if d.Level() != config.VFHigh {
 		t.Fatalf("level = %v after effective time, want high", d.Level())
 	}

@@ -301,9 +301,6 @@ func (e *Equalizer) TraceSM(i int) []TracePoint {
 	return e.traces[i]
 }
 
-// TracedSMs returns the number of SMs with recorded traces.
-func (e *Equalizer) TracedSMs() int { return len(e.traces) }
-
 // Reset implements gpu.Policy. Each SM's W_cta threshold comes from the
 // kernel the machine placed on it: equal to k.Wcta on a single-kernel launch,
 // and per partition when several kernels run side by side — the per-SM

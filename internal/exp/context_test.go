@@ -3,11 +3,15 @@ package exp
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"equalizer/internal/config"
 	"equalizer/internal/kernels"
+	"equalizer/internal/telemetry"
 )
 
 // testKernel returns a small kernel for cancellation tests.
@@ -139,6 +143,55 @@ func TestRunCtxErrorNotMemoized(t *testing.T) {
 	}
 	if st := h.SchedulerStats(); st.Canceled != 0 {
 		t.Errorf("canceled counter = %d, want 0 (fault is not a cancellation)", st.Canceled)
+	}
+}
+
+// TestSimulatePanicIsAnError: a simulator panic on a pool worker fails its
+// run with an error instead of ending the process. The memo does not keep
+// the failure, the pool goes on serving, and exp_sim_panics_total counts it.
+func TestSimulatePanicIsAnError(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	h := New(Options{GridScale: 0.05, Parallelism: 1, Registry: reg})
+	k := testKernel(t)
+	var calls atomic.Int32
+	h.simFault = func() error {
+		if calls.Add(1) == 1 {
+			panic("injected simulator fault")
+		}
+		return nil
+	}
+
+	var err error
+	if perr := h.Pool().Do(context.Background(), func() {
+		_, _, err = h.RunCtx(context.Background(), k, Baseline())
+	}); perr != nil {
+		t.Fatal(perr)
+	}
+	if err == nil || !strings.Contains(err.Error(), "injected simulator fault") {
+		t.Fatalf("panicking run err = %v, want an error naming the panic", err)
+	}
+
+	tot, src, err := h.RunCtx(context.Background(), k, Baseline())
+	if err != nil || src != SourceSim || tot.TimePS <= 0 {
+		t.Fatalf("rerun = (%q, %d ps, %v), want a fresh simulation (memo must not hold the panic)", src, tot.TimePS, err)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		h.Prefetch([]RunRequest{{k, Baseline()}, {k, StaticVF(config.VFLow, config.VFNormal)}})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("Prefetch after the panic did not finish")
+	}
+
+	if got := reg.Counter("exp_sim_panics_total", "", nil).Value(); got != 1 {
+		t.Errorf("exp_sim_panics_total = %d, want 1", got)
+	}
+	if st := h.SchedulerStats(); st.Panics != 1 || st.Canceled != 0 {
+		t.Errorf("stats panics=%d canceled=%d, want 1 and 0", st.Panics, st.Canceled)
 	}
 }
 

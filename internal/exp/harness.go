@@ -82,7 +82,8 @@ type Harness struct {
 
 	// simFault, when set, is consulted at the top of every simulation;
 	// a non-nil return aborts the run with that error. Test hook for the
-	// errors-are-never-memoized guarantee.
+	// errors-are-never-memoized guarantee and, by panicking, for the
+	// panic barrier.
 	simFault func() error
 
 	// Scheduler and cache counters, exported through the telemetry
@@ -90,7 +91,7 @@ type Harness struct {
 	runs, sims, memoHits                           *telemetry.Counter
 	cacheHits, cacheMisses, cacheStores, cacheErrs *telemetry.Counter
 	sweepCutoffs                                   *telemetry.Counter
-	canceled                                       *telemetry.Counter
+	canceled, panics                               *telemetry.Counter
 	stageDedup, stageCache, stageSim               *telemetry.Histogram
 }
 
@@ -146,6 +147,7 @@ func New(opts Options) *Harness {
 	h.cacheErrs = reg.Counter("exp_cache_errors_total", "corrupt or unwritable cache entries", nil)
 	h.sweepCutoffs = reg.Counter("exp_sweep_cutoffs_total", "block sweeps stopped early by monotone-tail detection", nil)
 	h.canceled = reg.Counter("exp_runs_canceled_total", "runs abandoned by context cancellation before completing", nil)
+	h.panics = reg.Counter("exp_sim_panics_total", "simulations that panicked and were failed with an error", nil)
 	h.now = opts.Now
 	if h.now != nil {
 		bounds := []float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30}
@@ -198,6 +200,7 @@ type SchedulerStats struct {
 	CacheErrors uint64 `json:"cache_errors"`
 	SweepCutoff uint64 `json:"sweep_cutoffs"`
 	Canceled    uint64 `json:"canceled"`
+	Panics      uint64 `json:"sim_panics"`
 }
 
 // SchedulerStats returns the current counter values.
@@ -212,6 +215,7 @@ func (h *Harness) SchedulerStats() SchedulerStats {
 		CacheErrors: h.cacheErrs.Value(),
 		SweepCutoff: h.sweepCutoffs.Value(),
 		Canceled:    h.canceled.Value(),
+		Panics:      h.panics.Value(),
 	}
 }
 
@@ -574,11 +578,19 @@ func (h *Harness) loadOrSimulate(ctx context.Context, k kernels.Kernel, s Setup)
 }
 
 // simulate runs the kernel's full launch sequence on a fresh machine set
-// up for s.
-func (h *Harness) simulate(ctx context.Context, k kernels.Kernel, s Setup) (Totals, error) {
+// up for s. A panic inside the simulator fails this run with an error
+// instead of taking down the process — and with it every other run on the
+// pool; RunCtx then drops the memo entry like for any other error.
+func (h *Harness) simulate(ctx context.Context, k kernels.Kernel, s Setup) (t Totals, err error) {
 	h.sims.Inc()
 	simStart := h.clock()
-	defer func() { h.observeStage(h.stageSim, simStart) }()
+	defer func() {
+		if p := recover(); p != nil {
+			h.panics.Inc()
+			t, err = Totals{}, fmt.Errorf("exp: run %s/%s panicked: %v", k.Name, s.Policy, p)
+		}
+		h.observeStage(h.stageSim, simStart)
+	}()
 	if h.simFault != nil {
 		if err := h.simFault(); err != nil {
 			return Totals{}, err

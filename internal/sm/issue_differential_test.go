@@ -93,7 +93,7 @@ func runCapture(t *testing.T, cfg config.GPU, tasks []gpu.Task, invocations int,
 
 	switch p := pol.(type) {
 	case *core.Equalizer:
-		for i := 0; i < p.TracedSMs(); i++ {
+		for i := 0; i < m.NumSMs(); i++ {
 			c.eqTraces = append(c.eqTraces, p.TraceSM(i))
 		}
 	case policy.Multi:

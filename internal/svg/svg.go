@@ -1,5 +1,5 @@
 // Package svg is a minimal scalable-vector-graphics writer used to render
-// the paper's figures as images (cmd/eqviz). It supports exactly what the
+// the paper's figures as images (eqbench -svg). It supports exactly what the
 // harness needs — grouped bar charts and line charts with axes and legends —
 // using only the standard library.
 package svg

@@ -193,15 +193,6 @@ func (p Profile) Validate() error {
 	return nil
 }
 
-// TotalInsts returns the per-warp instruction count (excluding EXIT).
-func (p Profile) TotalInsts() int {
-	n := 0
-	for _, ph := range p.Phases {
-		n += ph.Insts
-	}
-	return n
-}
-
 // Address-space layout: each generator draws from a disjoint region so the
 // patterns cannot alias.
 const (

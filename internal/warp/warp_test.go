@@ -188,8 +188,8 @@ func TestPhaseTransitionsAndPhaseIndex(t *testing.T) {
 	if in := s.Next(); in.Kind != MEM {
 		t.Fatalf("first phase-1 inst = %v, want MEM", in.Kind)
 	}
-	if p.TotalInsts() != 4 {
-		t.Fatalf("TotalInsts = %d, want 4", p.TotalInsts())
+	if totalInsts(p) != 4 {
+		t.Fatalf("totalInsts = %d, want 4", totalInsts(p))
 	}
 }
 
@@ -256,7 +256,16 @@ func TestQuickDeterminism(t *testing.T) {
 	}
 }
 
-// Property: every stream terminates after exactly TotalInsts()+1 calls.
+// totalInsts returns the per-warp instruction count (excluding EXIT).
+func totalInsts(p *Profile) int {
+	n := 0
+	for _, ph := range p.Phases {
+		n += ph.Insts
+	}
+	return n
+}
+
+// Property: every stream terminates after exactly totalInsts(p)+1 calls.
 func TestQuickTermination(t *testing.T) {
 	f := func(n1, n2 uint8) bool {
 		p := &Profile{
@@ -272,7 +281,7 @@ func TestQuickTermination(t *testing.T) {
 			s.Next()
 			count++
 		}
-		return count == p.TotalInsts()+1
+		return count == totalInsts(p)+1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
