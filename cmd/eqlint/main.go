@@ -12,8 +12,10 @@
 // misspelled verbs, allows naming unknown analyzers and allows that
 // suppressed nothing are findings too.
 //
-// Packages load and analyze across GOMAXPROCS workers, and output is
-// path-sorted so runs are deterministic at any parallelism.
+// Patterns resolve through `go list`, so they mean what they mean to the go
+// command. Each matched package is type-checked from source against the
+// export data go list compiles for its imports, and the packages are
+// analyzed one after another; output is path-sorted.
 package main
 
 import (
@@ -22,9 +24,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
 
 	"equalizer/internal/analysis"
 )
@@ -65,61 +65,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		fmt.Fprintln(stderr, "eqlint:", err)
-		return 2
-	}
-	dirs, err := loader.Expand(patterns)
+	root, pkgs, err := analysis.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, "eqlint:", err)
 		return 2
 	}
 
-	// Load packages and run the analyzers across GOMAXPROCS workers. A
-	// package's directives are checked on the same worker once every
-	// analyzer has had its chance to consume a suppression. Results land in
-	// per-dir slots, so output order is independent of scheduling.
-	type dirResult struct {
-		diags []analysis.Diagnostic
-		err   error
-	}
-	results := make([]dirResult, len(dirs))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(dirs) {
-		workers = len(dirs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				results[i].diags, results[i].err = lintDir(loader, dirs[i], analyzers, known, ranNames)
-			}
-		}()
-	}
-	for i := range dirs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-
+	// A package's directives are checked once every analyzer has had its
+	// chance to consume a suppression.
 	var all []analysis.Diagnostic
-	for i, r := range results {
-		if r.err != nil {
-			fmt.Fprintf(stderr, "eqlint: %s: %v\n", dirs[i], r.err)
-			return 2
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			if a.Scope != nil && !a.Scope(pkg.PkgPath) {
+				continue
+			}
+			diags, err := analysis.RunAnalyzer(a, pkg)
+			if err != nil {
+				fmt.Fprintln(stderr, "eqlint:", err)
+				return 2
+			}
+			all = append(all, diags...)
 		}
-		all = append(all, r.diags...)
+		all = append(all, analysis.VerifyDirectives(pkg, known, ranNames)...)
 	}
 	analysis.SortDiagnostics(all)
 
-	root := loader.ModuleRoot()
 	for _, d := range all {
 		if rel, err := filepath.Rel(root, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			d.Pos.Filename = filepath.ToSlash(rel)
@@ -131,27 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// lintDir loads the package in dir, runs every in-scope analyzer over it and
-// then checks its directives.
-func lintDir(loader *analysis.Loader, dir string, analyzers []*analysis.Analyzer, known, ranNames map[string]bool) ([]analysis.Diagnostic, error) {
-	pkg, err := loader.LoadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []analysis.Diagnostic
-	for _, a := range analyzers {
-		if a.Scope != nil && !a.Scope(pkg.PkgPath) {
-			continue
-		}
-		diags, err := analysis.RunAnalyzer(a, pkg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, diags...)
-	}
-	return append(out, analysis.VerifyDirectives(pkg, known, ranNames)...), nil
 }
 
 func firstLine(s string) string {

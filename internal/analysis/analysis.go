@@ -6,11 +6,13 @@
 // over the module; `go test ./internal/analysis` exercises each one against
 // testdata packages with expected-diagnostic annotations.
 //
-// The framework is stdlib-only on purpose: the build environment pins the
-// toolchain and forbids fetching x/tools, and the subset needed here —
-// typed ASTs, per-package passes, positional diagnostics, an analysistest
-// harness — is small. Should the module ever vendor x/tools, the analyzers
-// port mechanically: Run signatures and reporting semantics match.
+// The framework is stdlib-only, so the module carries no requirements: the
+// subset of x/tools needed here — typed ASTs, per-package passes, positional
+// diagnostics, an analysistest harness — is small, and Load leaves package
+// resolution and dependency compilation to `go list -export`, reading
+// dependencies back through go/importer. Analyzer Run signatures and
+// reporting semantics match x/tools', so the analyzers would port
+// mechanically.
 //
 // # Suppression directives
 //

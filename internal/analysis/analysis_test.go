@@ -2,7 +2,10 @@ package analysis
 
 import (
 	"go/token"
+	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -61,22 +64,28 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// TestLoaderExpand checks ./... pattern expansion skips testdata.
+// TestLoaderExpand checks that Load resolves ./... to the same package set
+// as the go command, which leaves testdata trees out.
 func TestLoaderExpand(t *testing.T) {
-	loader, err := NewLoader(".")
+	_, pkgs, err := Load(".", "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs, err := loader.Expand([]string{"./..."})
+	out, err := exec.Command("go", "list", "./...").Output()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dirs) == 0 {
-		t.Fatal("Expand(./...) returned no directories")
-	}
-	for _, d := range dirs {
-		if filepath.Base(filepath.Dir(d)) == "testdata" || filepath.Base(d) == "testdata" {
-			t.Errorf("Expand returned testdata directory %s", d)
+	want := strings.Fields(string(out))
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.PkgPath)
+		if strings.Contains(p.PkgPath, "testdata") {
+			t.Errorf("Load(./...) returned testdata package %s", p.PkgPath)
 		}
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("Load(./...) packages = %v, go list ./... = %v", got, want)
 	}
 }

@@ -66,14 +66,11 @@ type expectation struct {
 // the analyzer behaved exactly as annotated. The reporting t is abstracted
 // so the helper itself stays testable.
 func AnalysisTest(a *Analyzer, dir string) ([]string, error) {
-	loader, err := NewLoader(dir)
+	_, pkgs, err := Load(dir, ".")
 	if err != nil {
 		return nil, err
 	}
-	pkg, err := loader.LoadDir(dir)
-	if err != nil {
-		return nil, err
-	}
+	pkg := pkgs[0]
 	diags, err := RunAnalyzer(a, pkg)
 	if err != nil {
 		return nil, err

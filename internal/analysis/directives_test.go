@@ -8,16 +8,11 @@ import (
 
 func loadTestPkg(t *testing.T, dir string) *Package {
 	t.Helper()
-	path := filepath.Join("testdata", "src", dir)
-	loader, err := NewLoader(path)
+	_, pkgs, err := Load(filepath.Join("testdata", "src", dir), ".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.LoadDir(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pkg
+	return pkgs[0]
 }
 
 // TestVerifyDirectives covers the three hygiene checks over the directives

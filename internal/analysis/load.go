@@ -1,18 +1,19 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package.
@@ -29,255 +30,91 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	allowOnce sync.Once
-	allowset  *allowSet
+	allowset *allowSet
 }
 
 // allows returns the package's suppression directives, parsed once.
 func (p *Package) allows() *allowSet {
-	p.allowOnce.Do(func() { p.allowset = collectAllowedLines(p) })
+	if p.allowset == nil {
+		p.allowset = collectAllowedLines(p)
+	}
 	return p.allowset
 }
 
-// Loader parses and type-checks packages without the go command or network
-// access. Imports resolve through two roots only — the enclosing module
-// (paths under the go.mod module path) and GOROOT/src (the standard
-// library, including its vendored golang.org/x packages) — which covers
-// this dependency-free module completely. Standard-library dependencies are
-// type-checked from source, like x/tools' srcimporter.
-//
-// A Loader is safe for concurrent LoadDir calls: the FileSet is documented
-// goroutine-safe, completed *types.Packages are immutable, and an in-flight
-// load is entered exactly once with later callers waiting on its done
-// channel. Import cycles are detected per call stack; a cycle split across
-// two concurrent top-level loads is not (it cannot occur in compilable Go,
-// which the tree is — `go build` gates every analysis run in CI).
-type Loader struct {
-	fset       *token.FileSet
-	moduleRoot string
-	modulePath string
-	goroot     string
-	ctxt       build.Context
-
-	mu   sync.Mutex
-	pkgs map[string]*loadEntry // by import path
+// listedPackage is the subset of `go list -json` output Load reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	DepOnly    bool
+	Module     *struct {
+		Dir  string
+		Main bool
+	}
+	Error *struct{ Err string }
 }
 
-// loadEntry is one package slot: the first loader claims it, everyone else
-// waits on done.
-type loadEntry struct {
-	done chan struct{}
-	pkg  *Package
-	err  error
-}
-
-// NewLoader builds a loader for the module rooted at or above dir.
-func NewLoader(dir string) (*Loader, error) {
-	root, modPath, err := findModule(dir)
+// Load resolves patterns with `go list` run in dir and returns the matched
+// packages (non-test files only), parsed and type-checked from source in
+// go list's dependency order. Their imports are read from the export data
+// go list compiled, through the gc importer, so nothing outside the matched
+// packages is type-checked here. moduleRoot is the main module's directory.
+// A package go list reports an error for, or one that fails to type-check,
+// fails the whole load.
+func Load(dir string, patterns ...string) (moduleRoot string, pkgs []*Package, err error) {
+	args := append([]string{"list", "-e", "-export", "-deps",
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Module,Error"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return "", nil, fmt.Errorf("analysis: go list: %v: %s", err, bytes.TrimSpace(stderr.Bytes()))
 	}
-	ctxt := build.Default
-	ctxt.CgoEnabled = false // tag-only analysis; keeps stdlib loads pure Go
-	return &Loader{
-		fset:       token.NewFileSet(),
-		moduleRoot: root,
-		modulePath: modPath,
-		goroot:     runtime.GOROOT(),
-		ctxt:       ctxt,
-		pkgs:       map[string]*loadEntry{},
-	}, nil
-}
 
-// ModulePath returns the module's import path prefix.
-func (l *Loader) ModulePath() string { return l.modulePath }
+	var targets []listedPackage
+	exports := map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp listedPackage
+		if err := dec.Decode(&lp); err != nil {
+			return "", nil, fmt.Errorf("analysis: decoding go list output: %w", err)
+		}
+		if lp.Error != nil {
+			return "", nil, fmt.Errorf("analysis: %s: %s", lp.ImportPath, strings.TrimSpace(lp.Error.Err))
+		}
+		exports[lp.ImportPath] = lp.Export
+		if !lp.DepOnly {
+			targets = append(targets, lp)
+		}
+	}
 
-// ModuleRoot returns the module's directory.
-func (l *Loader) ModuleRoot() string { return l.moduleRoot }
-
-// findModule walks up from dir to the enclosing go.mod and parses its module
-// path.
-func findModule(dir string) (root, modPath string, err error) {
-	dir, err = filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
-	for d := dir; ; d = filepath.Dir(d) {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module"); ok {
-					return d, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("analysis: %s/go.mod has no module directive", d)
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("analysis: no export data for %q", path)
 		}
-		if parent := filepath.Dir(d); parent == d {
-			return "", "", fmt.Errorf("analysis: no go.mod found above %s", dir)
-		}
-	}
-}
-
-// Expand resolves command-line patterns into package directories. Supported
-// forms: "./...", "dir/...", plain directories, and import paths within the
-// module. Directories without Go files are silently skipped for ... walks
-// and an error otherwise.
-func (l *Loader) Expand(patterns []string) ([]string, error) {
-	var dirs []string
-	seen := map[string]bool{}
-	addDir := func(d string) {
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
-		}
-	}
-	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "...":
-			if err := l.walkGoDirs(l.moduleRoot, addDir); err != nil {
-				return nil, err
-			}
-		case strings.HasSuffix(pat, "/..."):
-			base := l.resolveDir(strings.TrimSuffix(pat, "/..."))
-			if err := l.walkGoDirs(base, addDir); err != nil {
-				return nil, err
-			}
-		default:
-			d := l.resolveDir(pat)
-			if !hasGoFiles(d) {
-				return nil, fmt.Errorf("analysis: no Go files in %s", d)
-			}
-			addDir(d)
-		}
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-// resolveDir maps a pattern to a directory: module-relative import paths and
-// filesystem paths both work.
-func (l *Loader) resolveDir(pat string) string {
-	if rest, ok := strings.CutPrefix(pat, l.modulePath); ok && (rest == "" || rest[0] == '/') {
-		return filepath.Join(l.moduleRoot, rest)
-	}
-	if filepath.IsAbs(pat) {
-		return filepath.Clean(pat)
-	}
-	return filepath.Join(l.moduleRoot, pat)
-}
-
-func (l *Loader) walkGoDirs(base string, add func(string)) error {
-	return filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		if hasGoFiles(path) {
-			add(path)
-		}
-		return nil
+		return os.Open(exports[path])
 	})
-}
-
-func hasGoFiles(dir string) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			return true
+	for _, lp := range targets {
+		if lp.Module != nil && lp.Module.Main {
+			moduleRoot = lp.Module.Dir
 		}
-	}
-	return false
-}
-
-// LoadDir loads the package in dir (non-test files only), type-checking it
-// and every dependency. Results are cached per loader. Safe for concurrent
-// use.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.load(l.pathForDir(dir), dir, nil)
-}
-
-// pathForDir derives the import path of a module directory. Directories
-// outside the module (testdata trees) get a synthetic rooted path so they
-// can never collide with real imports.
-func (l *Loader) pathForDir(dir string) string {
-	if rel, err := filepath.Rel(l.moduleRoot, dir); err == nil && !strings.HasPrefix(rel, "..") {
-		if rel == "." {
-			return l.modulePath
+		pkg, err := check(fset, imp, lp)
+		if err != nil {
+			return "", nil, err
 		}
-		return l.modulePath + "/" + filepath.ToSlash(rel)
+		pkgs = append(pkgs, pkg)
 	}
-	return "testdata.invalid/" + filepath.ToSlash(dir)
+	return moduleRoot, pkgs, nil
 }
 
-// dirForPath resolves an import path to its source directory.
-func (l *Loader) dirForPath(path string) (string, error) {
-	if rest, ok := strings.CutPrefix(path, l.modulePath); ok && (rest == "" || rest[0] == '/') {
-		return filepath.Join(l.moduleRoot, rest), nil
-	}
-	std := filepath.Join(l.goroot, "src", filepath.FromSlash(path))
-	if _, err := os.Stat(std); err == nil {
-		return std, nil
-	}
-	vendored := filepath.Join(l.goroot, "src", "vendor", filepath.FromSlash(path))
-	if _, err := os.Stat(vendored); err == nil {
-		return vendored, nil
-	}
-	return "", fmt.Errorf("analysis: cannot resolve import %q (not in module %s or GOROOT)", path, l.modulePath)
-}
-
-// load type-checks the package at dir under the given import path. stack is
-// the chain of import paths being loaded by this call stack, for cycle
-// detection.
-func (l *Loader) load(pkgPath, dir string, stack []string) (*Package, error) {
-	for _, s := range stack {
-		if s == pkgPath {
-			return nil, fmt.Errorf("analysis: import cycle through %s", pkgPath)
-		}
-	}
-	l.mu.Lock()
-	if e, ok := l.pkgs[pkgPath]; ok {
-		l.mu.Unlock()
-		<-e.done
-		return e.pkg, e.err
-	}
-	e := &loadEntry{done: make(chan struct{})}
-	l.pkgs[pkgPath] = e
-	l.mu.Unlock()
-
-	e.pkg, e.err = l.doLoad(pkgPath, dir, stack)
-	close(e.done)
-	if e.err != nil {
-		// Drop the failed entry so a later load with a corrected tree (or a
-		// different dir mapping in tests) can retry.
-		l.mu.Lock()
-		delete(l.pkgs, pkgPath)
-		l.mu.Unlock()
-	}
-	return e.pkg, e.err
-}
-
-func (l *Loader) doLoad(pkgPath, dir string, stack []string) (*Package, error) {
-	bp, err := l.ctxt.ImportDir(dir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: %s: %w", dir, err)
-	}
+// check parses one listed package's files and type-checks them.
+func check(fset *token.FileSet, imp types.Importer, lp listedPackage) (*Package, error) {
 	var files []*ast.File
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -290,39 +127,17 @@ func (l *Loader) doLoad(pkgPath, dir string, stack []string) (*Package, error) {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	conf := types.Config{Importer: &loaderImporter{l: l, stack: append(stack[:len(stack):len(stack)], pkgPath)}}
-	tpkg, err := conf.Check(pkgPath, l.fset, files, info)
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: typecheck %s: %w", pkgPath, err)
+		return nil, fmt.Errorf("analysis: typecheck %s: %w", lp.ImportPath, err)
 	}
 	return &Package{
-		PkgPath: pkgPath,
-		Dir:     dir,
-		Fset:    l.fset,
+		PkgPath: lp.ImportPath,
+		Dir:     lp.Dir,
+		Fset:    fset,
 		Files:   files,
 		Types:   tpkg,
 		Info:    info,
 	}, nil
-}
-
-// loaderImporter adapts the loader to the go/types Importer interface,
-// carrying the import stack of the load that owns it.
-type loaderImporter struct {
-	l     *Loader
-	stack []string
-}
-
-func (li *loaderImporter) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	dir, err := li.l.dirForPath(path)
-	if err != nil {
-		return nil, err
-	}
-	p, err := li.l.load(path, dir, li.stack)
-	if err != nil {
-		return nil, err
-	}
-	return p.Types, nil
 }

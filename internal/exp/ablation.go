@@ -59,69 +59,59 @@ func (h *Harness) runAblationPoint(label string, eqCfg config.Equalizer, mode co
 		speedups = append(speedups, t.Speedup(base))
 		deltas = append(deltas, t.EnergyDelta(base))
 	}
+	speedup, err := metrics.GeomeanErr(speedups)
+	if err != nil {
+		return AblationPoint{}, fmt.Errorf("exp: ablation %s: %w", label, err)
+	}
 	return AblationPoint{
 		Label:       label,
-		Speedup:     metrics.Geomean(speedups),
+		Speedup:     speedup,
 		EnergyDelta: metrics.Mean(deltas),
 	}, nil
 }
 
-// AblationEpoch sweeps the epoch window length (the paper chose 4096 cycles
-// after a sensitivity study, Section V-A.2).
-func (h *Harness) AblationEpoch(mode core.Mode) ([]AblationPoint, error) {
-	var out []AblationPoint
-	for _, epoch := range []int{1024, 2048, 4096, 8192, 16384} {
-		cfg := config.DefaultEqualizer()
-		cfg.EpochCycles = epoch //eqlint:allow cycleaccounting -- writes the epoch-length config knob, not a live counter
-		p, err := h.runAblationPoint(fmt.Sprintf("epoch=%d", epoch), cfg, mode)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
+// ablationSweep is one Equalizer parameter swept over the ablation kernel
+// set: each value is written into a default config by set and labelled
+// "<prefix>=<value>".
+type ablationSweep struct {
+	title  string
+	prefix string
+	values []int
+	set    func(cfg *config.Equalizer, v int)
 }
 
-// AblationHysteresis sweeps the consecutive-decision requirement for block
-// changes (the paper uses 3).
-func (h *Harness) AblationHysteresis(mode core.Mode) ([]AblationPoint, error) {
-	var out []AblationPoint
-	for _, hys := range []int{1, 2, 3, 4, 6} {
-		cfg := config.DefaultEqualizer()
-		cfg.Hysteresis = hys
-		p, err := h.runAblationPoint(fmt.Sprintf("hysteresis=%d", hys), cfg, mode)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
+// ablationSweeps lists the sweeps Ablations renders, in order. It is a
+// function rather than a package variable so that eqlint's cycleaccounting,
+// which inspects function bodies, sees the EpochCycles write its allow
+// names.
+func ablationSweeps() []ablationSweep {
+	return []ablationSweep{
+		// The paper chose 4096 cycles after a sensitivity study (Section V-A.2).
+		{"epoch window length", "epoch", []int{1024, 2048, 4096, 8192, 16384}, func(cfg *config.Equalizer, v int) {
+			cfg.EpochCycles = v //eqlint:allow cycleaccounting -- writes the epoch-length config knob, not a live counter
+		}},
+		// Consecutive decisions required for a block change (the paper uses 3).
+		{"block-change hysteresis", "hysteresis", []int{1, 2, 3, 4, 6}, func(cfg *config.Equalizer, v int) {
+			cfg.Hysteresis = v
+		}},
+		// Instruction-buffer sampling interval (the paper samples every 128 cycles).
+		{"sampling interval", "sample", []int{32, 64, 128, 256, 512}, func(cfg *config.Equalizer, v int) {
+			cfg.SampleInterval = v
+		}},
+		// Xmem bandwidth-saturation floor (the paper uses 2 warps, Section III-A).
+		{"Xmem saturation floor", "memsat", []int{0, 1, 2, 4, 8}, func(cfg *config.Equalizer, v int) {
+			cfg.MemSaturationWarps = v
+		}},
 	}
-	return out, nil
 }
 
-// AblationSampling sweeps the instruction-buffer sampling interval (the
-// paper samples every 128 cycles).
-func (h *Harness) AblationSampling(mode core.Mode) ([]AblationPoint, error) {
+// sweep runs one ablation point per value of s under the given mode.
+func (h *Harness) sweep(s ablationSweep, mode core.Mode) ([]AblationPoint, error) {
 	var out []AblationPoint
-	for _, s := range []int{32, 64, 128, 256, 512} {
+	for _, v := range s.values {
 		cfg := config.DefaultEqualizer()
-		cfg.SampleInterval = s
-		p, err := h.runAblationPoint(fmt.Sprintf("sample=%d", s), cfg, mode)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// AblationMemSaturation sweeps the Xmem bandwidth-saturation floor (the
-// paper conservatively uses 2 warps, Section III-A).
-func (h *Harness) AblationMemSaturation(mode core.Mode) ([]AblationPoint, error) {
-	var out []AblationPoint
-	for _, floor := range []int{0, 1, 2, 4, 8} {
-		cfg := config.DefaultEqualizer()
-		cfg.MemSaturationWarps = floor
-		p, err := h.runAblationPoint(fmt.Sprintf("memsat=%d", floor), cfg, mode)
+		s.set(&cfg, v)
+		p, err := h.runAblationPoint(fmt.Sprintf("%s=%d", s.prefix, v), cfg, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -133,21 +123,12 @@ func (h *Harness) AblationMemSaturation(mode core.Mode) ([]AblationPoint, error)
 // Ablations runs every sweep in performance mode and renders them.
 func (h *Harness) Ablations() (string, error) {
 	var b strings.Builder
-	sweeps := []struct {
-		title string
-		run   func(core.Mode) ([]AblationPoint, error)
-	}{
-		{"epoch window length", h.AblationEpoch},
-		{"block-change hysteresis", h.AblationHysteresis},
-		{"sampling interval", h.AblationSampling},
-		{"Xmem saturation floor", h.AblationMemSaturation},
-	}
-	for _, sweep := range sweeps {
-		pts, err := sweep.run(core.PerformanceMode)
+	for _, s := range ablationSweeps() {
+		pts, err := h.sweep(s, core.PerformanceMode)
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&b, "Ablation: %s (performance mode, %d-kernel subset)\n", sweep.title, len(ablationKernels()))
+		fmt.Fprintf(&b, "Ablation: %s (performance mode, %d-kernel subset)\n", s.title, len(ablationKernels()))
 		t := metrics.NewTable("setting", "geomean speedup", "mean energy delta")
 		for _, p := range pts {
 			t.AddRowf(p.Label, p.Speedup, metrics.Pct(p.EnergyDelta))

@@ -50,7 +50,11 @@ func TestAblationEpochSweep(t *testing.T) {
 		t.Skip("heavy experiment")
 	}
 	h := New(Options{GridScale: 0.2})
-	pts, err := h.AblationEpoch(core.PerformanceMode)
+	epoch := ablationSweeps()[0]
+	if epoch.prefix != "epoch" {
+		t.Fatalf("first ablation sweep is %q, want epoch", epoch.prefix)
+	}
+	pts, err := h.sweep(epoch, core.PerformanceMode)
 	if err != nil {
 		t.Fatal(err)
 	}

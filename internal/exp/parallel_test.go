@@ -1,8 +1,11 @@
 package exp
 
 import (
+	"context"
 	"math"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"equalizer/internal/config"
@@ -192,6 +195,47 @@ func TestCorruptCacheEntryFallsBackToSimulate(t *testing.T) {
 	h3.MustRun(k, Baseline())
 	if st := h3.SchedulerStats(); st.CacheHits != 1 || st.Simulated != 0 {
 		t.Errorf("healed entry not served from disk: %+v", st)
+	}
+}
+
+// TestUnwritableCacheServesUncached replaces an open cache's directory with
+// a regular file, so every Load and Store fails whatever the process's
+// permissions. The run must still succeed with the uncached result, count
+// the failures, store nothing, and serve a repeat from the memo.
+func TestUnwritableCacheServesUncached(t *testing.T) {
+	k, err := kernels.ByName("mri_g-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := New(Options{GridScale: 0.1, Parallelism: 2}).MustRun(k, Baseline())
+
+	dir := filepath.Join(t.TempDir(), "cache")
+	cache, err := runcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h := New(Options{GridScale: 0.1, Parallelism: 2, Cache: cache})
+	got, src, err := h.RunCtx(context.Background(), k, Baseline())
+	if err != nil {
+		t.Fatalf("unwritable cache surfaced as failure: %v", err)
+	}
+	if src != SourceSim || !reflect.DeepEqual(got, want) {
+		t.Errorf("RunCtx = %+v from %v, want %+v from %v", got, src, want, SourceSim)
+	}
+	if st := h.SchedulerStats(); st.CacheErrors < 1 || st.CacheStores != 0 {
+		t.Errorf("CacheErrors = %d, CacheStores = %d; want >= 1 and 0", st.CacheErrors, st.CacheStores)
+	}
+	if _, src, err := h.RunCtx(context.Background(), k, Baseline()); err != nil || src != SourceMemo {
+		t.Errorf("repeat run: source %v, err %v; want a memo hit", src, err)
+	}
+	if st := h.SchedulerStats(); st.Simulated != 1 {
+		t.Errorf("Simulated = %d after the repeat, want 1", st.Simulated)
 	}
 }
 

@@ -10,26 +10,10 @@ import (
 	"strings"
 )
 
-// Geomean returns the geometric mean of xs, or zero for an empty slice.
-// Non-positive entries are a caller bug and panic, since a speedup or energy
-// ratio of zero would silently poison the aggregate.
-func Geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("metrics: non-positive sample %g in geomean", x))
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
-// GeomeanErr is Geomean with error reporting instead of a panic: a
-// non-positive sample — one broken kernel run in a sweep — returns a
-// descriptive error rather than killing the whole aggregation.
+// GeomeanErr returns the geometric mean of xs, or zero for an empty slice.
+// A non-positive sample — one broken kernel run in a sweep — is an error,
+// since a speedup or energy ratio of zero would silently poison the
+// aggregate.
 func GeomeanErr(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, nil
@@ -56,17 +40,9 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Ratio returns a/b and panics when b is zero — a zero denominator means a
-// run produced no result and must not be masked.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		panic("metrics: zero denominator")
-	}
-	return a / b
-}
-
-// RatioErr is Ratio with error reporting instead of a panic, for callers
-// aggregating many runs where one empty result should not abort the rest.
+// RatioErr returns a/b. A zero denominator means a run produced no result;
+// it is an error rather than a panic, so one empty result among many runs
+// does not abort the rest.
 func RatioErr(a, b float64) (float64, error) {
 	if b == 0 {
 		return 0, fmt.Errorf("metrics: zero denominator for ratio %g/0", a)

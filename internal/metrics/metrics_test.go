@@ -8,24 +8,22 @@ import (
 )
 
 func TestGeomean(t *testing.T) {
-	if g := Geomean(nil); g != 0 {
-		t.Fatalf("geomean(nil) = %g, want 0", g)
-	}
-	if g := Geomean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
-		t.Fatalf("geomean(2,8) = %g, want 4", g)
-	}
-	if g := Geomean([]float64{1, 1, 1}); math.Abs(g-1) > 1e-12 {
-		t.Fatalf("geomean(1,1,1) = %g, want 1", g)
-	}
-}
-
-func TestGeomeanPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("geomean accepted a zero sample")
+	for _, tc := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{nil, 0},
+		{[]float64{2, 8}, 4},
+		{[]float64{1, 1, 1}, 1},
+	} {
+		g, err := GeomeanErr(tc.xs)
+		if err != nil || math.Abs(g-tc.want) > 1e-12 {
+			t.Fatalf("GeomeanErr(%v) = %g, %v; want %g", tc.xs, g, err, tc.want)
 		}
-	}()
-	Geomean([]float64{1, 0})
+	}
+	if _, err := GeomeanErr([]float64{1, 0}); err == nil {
+		t.Fatal("GeomeanErr accepted a zero sample")
+	}
 }
 
 func TestMean(t *testing.T) {
@@ -38,15 +36,12 @@ func TestMean(t *testing.T) {
 }
 
 func TestRatio(t *testing.T) {
-	if r := Ratio(3, 2); r != 1.5 {
-		t.Fatalf("ratio = %g", r)
+	if r, err := RatioErr(3, 2); err != nil || r != 1.5 {
+		t.Fatalf("RatioErr(3, 2) = %g, %v", r, err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero denominator accepted")
-		}
-	}()
-	Ratio(1, 0)
+	if _, err := RatioErr(1, 0); err == nil {
+		t.Fatal("zero denominator accepted")
+	}
 }
 
 func TestPct(t *testing.T) {
@@ -120,8 +115,8 @@ func TestQuickGeomeanBounds(t *testing.T) {
 			lo = math.Min(lo, xs[i])
 			hi = math.Max(hi, xs[i])
 		}
-		g := Geomean(xs)
-		return g >= lo-1e-9 && g <= hi+1e-9
+		g, err := GeomeanErr(xs)
+		return err == nil && g >= lo-1e-9 && g <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
