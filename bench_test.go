@@ -173,7 +173,10 @@ func BenchmarkSimulatorCyclesPerSecond(b *testing.B) {
 	b.ResetTimer()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		m := gpu.MustNew(config.Default(), power.Default(), nil)
+		m, err := gpu.New(config.Default(), power.Default(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		res, err := m.RunKernel(k, 0)
 		if err != nil {
 			b.Fatal(err)
@@ -206,7 +209,10 @@ func BenchmarkEngine(b *testing.B) {
 			b.ReportAllocs()
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				m := gpu.MustNew(config.Default(), power.Default(), core.New(core.EnergyMode))
+				m, err := gpu.New(config.Default(), power.Default(), core.New(core.EnergyMode))
+				if err != nil {
+					b.Fatal(err)
+				}
 				for inv := 0; inv < k.Invocations; inv++ {
 					res, err := m.RunKernel(k, inv)
 					if err != nil {
@@ -230,7 +236,10 @@ func BenchmarkEqualizerOverhead(b *testing.B) {
 	k.GridBlocks = 30
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := gpu.MustNew(config.Default(), power.Default(), core.New(core.PerformanceMode))
+		m, err := gpu.New(config.Default(), power.Default(), core.New(core.PerformanceMode))
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := m.RunKernel(k, 0); err != nil {
 			b.Fatal(err)
 		}

@@ -12,9 +12,9 @@
 //
 // Entry points:
 //
-//	cmd/eqsim     run one kernel under one policy
+//	cmd/eqsim     run one kernel under one policy (-trace dumps its
+//	              per-epoch counters or a Chrome trace)
 //	cmd/eqbench   regenerate the paper's tables and figures
-//	cmd/eqtrace   dump Equalizer's per-epoch counter traces
 //	examples/     four runnable walkthroughs of the public API
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured

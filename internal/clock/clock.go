@@ -68,10 +68,6 @@ func (d *Domain) Next() Time { return d.next }
 // Frequency returns the current frequency multiplier relative to nominal.
 func (d *Domain) Frequency() float64 { return d.level.Multiplier(d.modulation) }
 
-// Voltage returns the current voltage multiplier relative to nominal; the
-// paper assumes voltage scales linearly with frequency.
-func (d *Domain) Voltage() float64 { return d.Frequency() }
-
 // period returns the current cycle period in picoseconds.
 func (d *Domain) period() Time {
 	p := Time(d.nominalPS / d.level.Multiplier(d.modulation))

@@ -320,6 +320,10 @@ type runKey struct {
 // stored results would no longer match a fresh simulation.
 const cacheSchemaVersion = 1
 
+// cacheSchemaDigest is the sha256 of the Totals that TestCacheSchemaPinned
+// simulates at cacheSchemaVersion. Re-pin it with every version bump.
+const cacheSchemaDigest = "63ef4edb5478b48102547e684cb6396bb13f77f504a076c341f1cad8241c662f"
+
 // cacheKey derives the stable content hash identifying one run's result.
 func (h *Harness) cacheKey(kernel string, s Setup) string {
 	return cacheKeyFor(cacheSchemaVersion, h.gpuCfg, h.pwrCfg, h.scale, kernel, s)
@@ -434,8 +438,9 @@ func Simulate(ctx context.Context, m *gpu.Machine, k kernels.Kernel, each func(i
 		t.TimePS += res.TimePS
 		t.EnergyJ += res.EnergyJ()
 		t.SMCycles += res.SMCycles //eqlint:allow cycleaccounting -- aggregates finished per-invocation results, not live accounting
-		l1Weighted += res.L1HitRate * float64(res.SMCycles)
-		dramWeighted += res.DRAMUtil * float64(res.SMCycles)
+		// float64(…): no fused multiply-add (see power.Meter.Energy).
+		l1Weighted += float64(res.L1HitRate * float64(res.SMCycles))
+		dramWeighted += float64(res.DRAMUtil * float64(res.SMCycles))
 		for i := 0; i < 3; i++ {
 			t.Residency.SM[i] += res.Residency.SM[i]
 			t.Residency.Mem[i] += res.Residency.Mem[i]

@@ -2,6 +2,10 @@ package exp
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,6 +13,7 @@ import (
 	"testing"
 
 	"equalizer/internal/config"
+	"equalizer/internal/core"
 	"equalizer/internal/exp/runcache"
 	"equalizer/internal/gpu"
 	"equalizer/internal/kernels"
@@ -153,6 +158,42 @@ func TestCacheKeySchemaVersion(t *testing.T) {
 	}
 	if k1 == cacheKeyFor(1, g, p, 1.0, "cutcp", StaticVF(config.VFHigh, config.VFNormal)) {
 		t.Error("setup not part of the cache key")
+	}
+}
+
+// schemaScale keeps TestCacheSchemaPinned's 81-cell grid to a few seconds.
+const schemaScale = 0.05
+
+// TestCacheSchemaPinned ties cacheSchemaVersion to the model: it hashes the
+// Totals JSON of every kernel under baseline and both Equalizer modes and
+// compares the digest with cacheSchemaDigest. A change that moves any
+// result fails here until it bumps cacheSchemaVersion, so no disk cache
+// serves an older model's numbers, and re-pins the digest.
+func TestCacheSchemaPinned(t *testing.T) {
+	h := New(Options{GridScale: schemaScale})
+	setups := []Setup{Baseline(), EqualizerSetup(core.PerformanceMode), EqualizerSetup(core.EnergyMode)}
+	var grid []RunRequest
+	for _, k := range kernels.All() {
+		for _, s := range setups {
+			grid = append(grid, RunRequest{k, s})
+		}
+	}
+	h.Prefetch(grid)
+	sum := sha256.New()
+	for _, r := range grid {
+		tot, err := h.Run(r.Kernel, r.Setup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(tot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(sum, "%s %s %s\n", r.Kernel.Name, r.Setup.Policy, b)
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != cacheSchemaDigest {
+		t.Errorf("results at cacheSchemaVersion %d hash to %s, pinned %s: bump cacheSchemaVersion and re-pin cacheSchemaDigest",
+			cacheSchemaVersion, got, cacheSchemaDigest)
 	}
 }
 

@@ -58,7 +58,10 @@ func TestSteadyStateRunAllocations(t *testing.T) {
 			if tc.policy != nil {
 				p = tc.policy()
 			}
-			m := gpu.MustNew(config.Default(), power.Default(), p)
+			m, err := gpu.New(config.Default(), power.Default(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
 			// Warm up: first run grows the pools, wake queues and stat buffers.
 			res, err := m.RunKernel(k, 0)
 			if err != nil {

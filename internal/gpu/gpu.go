@@ -164,15 +164,6 @@ func New(cfg config.GPU, pcfg power.Config, policy Policy) (*Machine, error) {
 	return m, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(cfg config.GPU, pcfg power.Config, policy Policy) *Machine {
-	m, err := New(cfg, pcfg, policy)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // AttachTelemetry wires a probe bus to the SMs (warp issue, stall census,
 // block residency, CTA pausing) and to the machine itself (kernel
 // boundaries, VF transitions); policies reach it through Bus. A nil bus

@@ -67,7 +67,8 @@ func Bar(frac float64, width int) string {
 	if frac > 1 {
 		frac = 1
 	}
-	filled := int(frac*float64(width) + 0.5)
+	// float64(…): no fused multiply-add (see power.Meter.Energy).
+	filled := int(float64(frac*float64(width)) + 0.5)
 	return strings.Repeat("#", filled) + strings.Repeat(".", width-filled)
 }
 

@@ -64,9 +64,10 @@ func (p *PowerBoost) estimatePower(m *gpu.Machine, issueRate float64) float64 {
 	// and the nominal clock (1 cycle per SMClockPS picoseconds).
 	cycleSeconds := float64(m.Config().SMClockPS) * 1e-12 / smMult
 	dynamic := issueRate * p.pcfg.EnergyPerALU * v2 / cycleSeconds
+	// float64(…): no fused multiply-add (see power.Meter.Energy).
 	static := p.pcfg.LeakageW +
-		p.pcfg.SMClockW*float64(m.NumSMs())*v2*smMult +
-		p.pcfg.MemClockW*memMult*memMult*memMult +
+		float64(p.pcfg.SMClockW*float64(m.NumSMs())*v2*smMult) +
+		float64(p.pcfg.MemClockW*memMult*memMult*memMult) +
 		p.pcfg.DRAMStandbyW
 	return static + dynamic
 }

@@ -167,25 +167,27 @@ func (m *Meter) Reset() {
 
 const psToS = 1e-12
 
-// Energy converts the accumulated activity into a joule breakdown.
+// Energy converts the accumulated activity into a joule breakdown. float64(…)
+// rounds each summed product so no host fuses it into a multiply-add and the
+// result has the same bits everywhere (CI checks arm64 and ppc64le assembly).
 func (m *Meter) Energy() Breakdown {
 	var b Breakdown
 	for l := config.VFLow; l <= config.VFHigh; l++ {
 		mult := l.Multiplier(m.cfg.Modulation)
 		v2 := mult * mult
 		s := m.sm[l]
-		b.Leakage += m.cfg.LeakageW * float64(s.TimePS) * psToS
-		b.SMDynamic += v2 * (float64(s.ALU)*m.cfg.EnergyPerALU +
-			float64(s.SFU)*m.cfg.EnergyPerSFU +
-			float64(s.MEM)*m.cfg.EnergyPerMEM +
-			float64(s.L1)*m.cfg.EnergyPerL1)
-		b.SMClock += m.cfg.SMClockW * v2 * mult * float64(s.ActiveSMTimePS) * psToS
+		b.Leakage += float64(m.cfg.LeakageW * float64(s.TimePS) * psToS)
+		b.SMDynamic += float64(v2 * (float64(float64(s.ALU)*m.cfg.EnergyPerALU) +
+			float64(float64(s.SFU)*m.cfg.EnergyPerSFU) +
+			float64(float64(s.MEM)*m.cfg.EnergyPerMEM) +
+			float64(float64(s.L1)*m.cfg.EnergyPerL1)))
+		b.SMClock += float64(m.cfg.SMClockW * v2 * mult * float64(s.ActiveSMTimePS) * psToS)
 
 		mm := m.mem[l]
-		b.MemClock += m.cfg.MemClockW * v2 * mult * float64(mm.TimePS) * psToS
-		b.Standby += m.cfg.DRAMStandbyW * (1 + m.cfg.StandbySlope*(mult-1)) * float64(mm.TimePS) * psToS
-		b.L2Access += v2 * float64(mm.L2) * m.cfg.EnergyPerL2
-		b.DRAMAccess += v2 * float64(mm.DRAM) * m.cfg.EnergyPerDRAM
+		b.MemClock += float64(m.cfg.MemClockW * v2 * mult * float64(mm.TimePS) * psToS)
+		b.Standby += float64(m.cfg.DRAMStandbyW * (1 + float64(m.cfg.StandbySlope*(mult-1))) * float64(mm.TimePS) * psToS)
+		b.L2Access += float64(v2 * float64(mm.L2) * m.cfg.EnergyPerL2)
+		b.DRAMAccess += float64(v2 * float64(mm.DRAM) * m.cfg.EnergyPerDRAM)
 	}
 	return b
 }

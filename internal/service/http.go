@@ -280,8 +280,7 @@ func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRequests dumps the request-trace ring, oldest first. ?format=chrome
-// renders the traces as a Chrome trace-event document (Perfetto-loadable);
-// the default JSON dump can be converted offline with eqtrace -requests.
+// renders the traces as a Chrome trace-event document (Perfetto-loadable).
 func (s *Service) handleRequests(w http.ResponseWriter, r *http.Request) {
 	traces := s.traces.snapshot()
 	switch r.URL.Query().Get("format") {

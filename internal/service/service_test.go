@@ -16,6 +16,7 @@ import (
 
 	"equalizer/internal/exp"
 	"equalizer/internal/kernels"
+	"equalizer/internal/telemetry"
 )
 
 // newTestService builds a service on a tiny grid scale with a temp cache.
@@ -415,6 +416,52 @@ func TestRequestTracesAndChromeExport(t *testing.T) {
 	decodeBody(t, resp, &doc)
 	if len(doc.TraceEvents) < 3 { // process meta + request span + stages
 		t.Errorf("chrome export has %d events, want >= 3", len(doc.TraceEvents))
+	}
+}
+
+// TestTracesToChromeSpans renders two request traces, one with stage
+// timings and one served from the memo, into a Chrome document and checks
+// that the request span and each stage appear by name.
+func TestTracesToChromeSpans(t *testing.T) {
+	traces := []RequestTrace{
+		{
+			ID: "req-1", Method: "POST", Path: "/v1/run",
+			Kernel: "cutcp", Policy: "baseline", Cells: 1,
+			StartUnixNano: 1_000_000_000, DurNS: 25_000_000, Status: 200, Source: "sim",
+			Stages: []StageTiming{
+				{Stage: "queue", StartNS: 0, DurNS: 1_000_000},
+				{Stage: "run", StartNS: 1_000_000, DurNS: 23_000_000},
+				{Stage: "encode", StartNS: 24_000_000, DurNS: 500_000},
+			},
+		},
+		{
+			ID: "req-2", Method: "POST", Path: "/v1/run",
+			Kernel: "cutcp", Policy: "baseline", Cells: 1,
+			StartUnixNano: 1_030_000_000, DurNS: 2_000_000, Status: 200, Source: "memo",
+		},
+	}
+	var buf bytes.Buffer
+	spans, opts := TracesToChromeSpans(traces)
+	if err := telemetry.WriteChromeSpans(&buf, spans, opts); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("invalid Chrome trace JSON: %v", err)
+	}
+	names := map[string]bool{}
+	for _, e := range doc.TraceEvents {
+		names[e.Name] = true
+	}
+	for _, want := range []string{"process_name", "POST /v1/run", "queue", "run", "encode"} {
+		if !names[want] {
+			t.Errorf("missing event %q in %v", want, names)
+		}
 	}
 }
 

@@ -17,8 +17,7 @@ type StageTiming struct {
 
 // RequestTrace is one entry of the /debug/requests ring buffer: everything
 // the service learned about a request, keyed by its request ID. It is a
-// plain copyable value so dumps round-trip through JSON (eqtrace -requests
-// re-reads them).
+// plain copyable value so dumps round-trip through JSON.
 type RequestTrace struct {
 	ID            string        `json:"id"`
 	Method        string        `json:"method"`

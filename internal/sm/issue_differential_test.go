@@ -53,7 +53,10 @@ func runCapture(t *testing.T, cfg config.GPU, tasks []gpu.Task, invocations int,
 	if mkPolicy != nil {
 		pol = mkPolicy()
 	}
-	m := gpu.MustNew(cfg, power.Default(), pol)
+	m, err := gpu.New(cfg, power.Default(), pol)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if scan {
 		for i := 0; i < m.NumSMs(); i++ {
 			sm.UseScanIssue(m.SM(i))
@@ -83,7 +86,7 @@ func runCapture(t *testing.T, cfg config.GPU, tasks []gpu.Task, invocations int,
 	c.events = bus.Events()
 	c.dropped = bus.Dropped()
 	var buf bytes.Buffer
-	err := telemetry.WriteChromeTrace(&buf, c.events, telemetry.ChromeOptions{
+	err = telemetry.WriteChromeTrace(&buf, c.events, telemetry.ChromeOptions{
 		NumSMs: m.NumSMs(), Kernel: tasks[0].Kernel.Name,
 	})
 	if err != nil {

@@ -2,6 +2,8 @@
 // the paper's figures as images (eqbench -svg). It supports exactly what the
 // harness needs — grouped bar charts and line charts with axes and legends —
 // using only the standard library.
+// float64(…) around a product added to a coordinate blocks a fused
+// multiply-add, so the committed figures draw the same bytes on every host.
 package svg
 
 import (
@@ -109,7 +111,7 @@ func BarChart(title string, labels []string, series []Series, w, h int) string {
 	c.Line(padL, padT+plotH, padL+plotW, padT+plotH, "#333", 1)
 	for i := 0; i <= 4; i++ {
 		v := maxV * float64(i) / 4
-		y := padT + plotH - plotH*float64(i)/4
+		y := padT + plotH - float64(plotH*float64(i)/4)
 		c.Line(padL, y, padL+plotW, y, "#ddd", 0.5)
 		c.Text(padL-6, y+4, fmt.Sprintf("%.2f", v), "end", 10)
 	}
@@ -121,16 +123,16 @@ func BarChart(title string, labels []string, series []Series, w, h int) string {
 	groupW := plotW / float64(groups)
 	barW := groupW * 0.8 / float64(len(series))
 	for gi, label := range labels {
-		gx := padL + groupW*float64(gi) + groupW*0.1
+		gx := padL + float64(groupW*float64(gi)) + float64(groupW*0.1)
 		for si, s := range series {
 			if gi >= len(s.Values) {
 				continue
 			}
 			v := s.Values[gi]
 			bh := plotH * v / maxV
-			c.Rect(gx+barW*float64(si), padT+plotH-bh, barW, bh, Palette[si%len(Palette)])
+			c.Rect(gx+float64(barW*float64(si)), padT+plotH-bh, barW, bh, Palette[si%len(Palette)])
 		}
-		c.TextRotated(gx+groupW*0.4, padT+plotH+14, label, 10)
+		c.TextRotated(gx+float64(groupW*0.4), padT+plotH+14, label, 10)
 	}
 
 	// Legend.
@@ -138,7 +140,7 @@ func BarChart(title string, labels []string, series []Series, w, h int) string {
 	for si, s := range series {
 		c.Rect(lx, float64(h)-18, 10, 10, Palette[si%len(Palette)])
 		c.Text(lx+14, float64(h)-9, s.Name, "start", 11)
-		lx += 14 + 8*float64(len(s.Name)) + 18
+		lx += 14 + float64(8*float64(len(s.Name))) + 18
 	}
 	return c.String()
 }
@@ -174,11 +176,11 @@ func LineChart(title, xLabel string, series []Series, w, h int) string {
 	c.Line(padL, padT+plotH, padL+plotW, padT+plotH, "#333", 1)
 	for i := 0; i <= 4; i++ {
 		v := maxV * float64(i) / 4
-		y := padT + plotH - plotH*float64(i)/4
+		y := padT + plotH - float64(plotH*float64(i)/4)
 		c.Line(padL, y, padL+plotW, y, "#ddd", 0.5)
 		c.Text(padL-6, y+4, fmt.Sprintf("%.1f", v), "end", 10)
 	}
-	c.Text(padL+plotW/2, float64(h)-10, xLabel, "middle", 11)
+	c.Text(padL+float64(plotW/2), float64(h)-10, xLabel, "middle", 11)
 
 	for si, s := range series {
 		xs := make([]float64, len(s.Values))
@@ -194,7 +196,7 @@ func LineChart(title, xLabel string, series []Series, w, h int) string {
 	for si, s := range series {
 		c.Line(lx, float64(h)-28, lx+16, float64(h)-28, Palette[si%len(Palette)], 2)
 		c.Text(lx+20, float64(h)-24, s.Name, "start", 11)
-		lx += 24 + 8*float64(len(s.Name)) + 14
+		lx += 24 + float64(8*float64(len(s.Name))) + 14
 	}
 	return c.String()
 }

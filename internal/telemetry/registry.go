@@ -141,7 +141,8 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(s.Count)
+	// float64(…): no fused multiply-add (see power.Meter.Energy).
+	rank := float64(q * float64(s.Count))
 	cum := 0.0
 	for i, n := range s.Counts {
 		cum += float64(n)
@@ -162,7 +163,7 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 		if frac < 0 {
 			frac = 0
 		}
-		return lo + (hi-lo)*frac
+		return lo + float64((hi-lo)*frac)
 	}
 	return s.Bounds[len(s.Bounds)-1]
 }
