@@ -23,11 +23,10 @@
 // trace-event document of the whole run under any policy, for Perfetto.
 //
 // Results persist in the same disk cache eqbench uses (-cache-dir, default
-// .eqcache): rerunning an already-simulated configuration is instant.
-// -no-cache, -v, -metrics and -trace force a live simulation (they need
-// per-invocation results or machine state the cache does not hold), and so
-// does -set: the cache key covers the machine model but not the Equalizer
-// runtime parameters -set can override. -json emits the result as
+// .eqcache): rerunning an already-simulated configuration, -set overrides
+// included, is instant. -no-cache runs without the disk cache. -v, -metrics
+// and -trace force a live simulation: they need per-invocation results or
+// machine state the cache does not hold. -json emits the result as
 // {kernel, policy, totals} for scripting.
 package main
 
@@ -174,15 +173,18 @@ func run(opts options, stdout io.Writer) error {
 
 	var tot exp.Totals
 	// -v, -metrics and -trace need a live machine (per-invocation results,
-	// counter state, probe events) and -set needs Equalizer parameters the
-	// cache key omits; everything else routes through the exp harness so
-	// results are served from and stored to the shared disk cache.
-	if !opts.verbose && opts.metrics == "" && trace == nil && !opts.noCache && opts.set == "" {
-		cache, err := runcache.Open(opts.cacheDir)
-		if err != nil {
-			return err
+	// counter state, probe events); everything else routes through the exp
+	// harness, whose key covers the -set machine model and Equalizer
+	// parameters, so results are served from and stored to the shared disk
+	// cache.
+	if !opts.verbose && opts.metrics == "" && trace == nil {
+		var cache *runcache.Cache
+		if !opts.noCache {
+			if cache, err = runcache.Open(opts.cacheDir); err != nil {
+				return err
+			}
 		}
-		h := exp.New(exp.Options{Cache: cache, Parallelism: 1})
+		h := exp.New(exp.Options{GPU: &gpuCfg, Cache: cache, Parallelism: 1})
 		if tot, err = h.Run(k, setup); err != nil {
 			return err
 		}
@@ -261,14 +263,16 @@ func run(opts options, stdout io.Writer) error {
 	return nil
 }
 
-// buildPolicy parses eqsim's policy flags into the cell to run, the policy
-// driving it (nil when the run is untuned) and the label eqsim prints.
+// buildPolicy parses eqsim's policy flags into the cell to run, with eq as
+// an Equalizer policy's runtime parameters, the policy driving it (nil when
+// the run is untuned) and the label eqsim prints.
 func buildPolicy(policyName, sm, mem string, blocks int, eq config.Equalizer) (exp.Setup, gpu.Policy, string, error) {
 	setup, err := exp.ParseSetup(policyName, sm, mem, blocks)
 	if err != nil {
 		return exp.Setup{}, nil, "", err
 	}
-	pol := exp.NewPolicy(setup, eq)
+	setup = setup.WithEqualizer(eq)
+	pol := exp.NewPolicy(setup)
 	name := "baseline"
 	if p := strings.ToLower(policyName); pol != nil {
 		name = pol.Name()

@@ -302,7 +302,8 @@ func TestChromeTraceDynCTA(t *testing.T) {
 }
 
 // TestTraceLeavesTotals checks that tracing only observes the run: a traced
-// run's -json output equals an untraced live run's, for both trace paths.
+// (live) run's -json output equals the uncached harness run's, for both
+// trace paths.
 func TestTraceLeavesTotals(t *testing.T) {
 	for _, tc := range []options{
 		{kernel: "mri_g-2", policy: "equalizer-energy", traceFormat: "csv", traceSM: "all"},
@@ -334,5 +335,91 @@ func TestTraceReportsWriteErrors(t *testing.T) {
 		if err == nil {
 			t.Errorf("-trace-format %s: writing to %s succeeded", format, full)
 		}
+	}
+}
+
+// runCaptured runs eqsim and returns its stdout and what it wrote to
+// os.Stderr.
+func runCaptured(t *testing.T, opts options) (stdout, stderr string) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	var out bytes.Buffer
+	err = run(opts, &out)
+	os.Stderr = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.String(), string(data)
+}
+
+// cacheEntries counts the result files in a cache directory.
+func cacheEntries(t *testing.T, dir string) int {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(entries)
+}
+
+// TestSetRunsThroughTheCache: a -set run is a cached harness cell keyed on
+// its overridden Equalizer parameters, while -v, -metrics and -trace still
+// run it live.
+func TestSetRunsThroughTheCache(t *testing.T) {
+	dir := t.TempDir()
+	opts := options{kernel: "cutcp", policy: "equalizer-perf", set: "epochcycles=2048", asJSON: true, cacheDir: dir}
+	cold, stderr := runCaptured(t, opts)
+	if n := cacheEntries(t, dir); n != 1 || stderr != "" {
+		t.Fatalf("cold -set run: %d cache entries, stderr %q; want 1 entry, no cache hit", n, stderr)
+	}
+	warm, stderr := runCaptured(t, opts)
+	if warm != cold || !strings.Contains(stderr, "served from cache") {
+		t.Errorf("warm -set run simulated again (stderr %q) or changed the result:\n%s\nwant\n%s", stderr, warm, cold)
+	}
+	uncached := opts
+	uncached.noCache, uncached.cacheDir = true, ""
+	if out, _ := runCaptured(t, uncached); out != cold {
+		t.Errorf("-no-cache result differs from the cached one:\n%s\nwant\n%s", out, cold)
+	}
+	defaults := opts
+	defaults.set = ""
+	if out, _ := runCaptured(t, defaults); out == cold {
+		t.Error("epochcycles=2048 gave the default parameters' result")
+	}
+	entries := cacheEntries(t, dir)
+
+	verbose := opts
+	verbose.verbose = true
+	if out, _ := runCaptured(t, verbose); !strings.Contains(out, "inv  1:") || !strings.HasSuffix(out, cold) {
+		t.Errorf("-v -set did not run live with the same result:\n%s", out)
+	}
+	metrics := opts
+	metrics.metrics = filepath.Join(t.TempDir(), "m.prom")
+	if out, _ := runCaptured(t, metrics); out != cold {
+		t.Errorf("-metrics -set changed the result:\n%s\nwant\n%s", out, cold)
+	}
+	if _, err := os.Stat(metrics.metrics); err != nil {
+		t.Errorf("-metrics -set wrote no metrics: %v", err)
+	}
+	traced := opts
+	traced.trace = filepath.Join(t.TempDir(), "trace")
+	if out, _ := runCaptured(t, traced); out != cold {
+		t.Errorf("-trace -set changed the result:\n%s\nwant\n%s", out, cold)
+	}
+	if data, err := os.ReadFile(traced.trace); err != nil || !strings.Contains(string(data), "epoch") {
+		t.Errorf("-trace -set wrote no epoch table: %v", err)
+	}
+	if n := cacheEntries(t, dir); n != entries {
+		t.Errorf("live runs touched the cache: %d entries, want %d", n, entries)
 	}
 }

@@ -15,7 +15,10 @@
 //	cmd/eqsim     run one kernel under one policy (-trace dumps its
 //	              per-epoch counters or a Chrome trace)
 //	cmd/eqbench   regenerate the paper's tables and figures
-//	examples/     four runnable walkthroughs of the public API
+//
+// The package's examples (example_test.go) walk through the simulator API:
+// a quickstart comparison, energy mode and performance mode. go test checks
+// what each prints.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
 // results against the paper's numbers.

@@ -1,13 +1,11 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"equalizer/internal/config"
 	"equalizer/internal/core"
-	"equalizer/internal/gpu"
 	"equalizer/internal/kernels"
 	"equalizer/internal/metrics"
 )
@@ -38,9 +36,9 @@ func ablationKernels() []kernels.Kernel {
 	return ks
 }
 
-// runAblationPoint runs the ablation set under an Equalizer built with the
-// given runtime parameters and returns geomean speedup / mean energy delta
-// vs the stock baseline.
+// runAblationPoint reads the ablation set's runs under an Equalizer with
+// the given runtime parameters from the harness and returns geomean speedup
+// / mean energy delta vs the stock baseline.
 func (h *Harness) runAblationPoint(label string, eqCfg config.Equalizer, mode core.Mode) (AblationPoint, error) {
 	var speedups, deltas []float64
 	for _, k := range ablationKernels() {
@@ -48,11 +46,7 @@ func (h *Harness) runAblationPoint(label string, eqCfg config.Equalizer, mode co
 		if err != nil {
 			return AblationPoint{}, err
 		}
-		m, err := gpu.New(h.gpuCfg, h.pwrCfg, NewPolicy(EqualizerSetup(mode), eqCfg))
-		if err != nil {
-			return AblationPoint{}, err
-		}
-		t, err := Simulate(context.Background(), m, h.scaled(k), nil)
+		t, err := h.Run(k, EqualizerSetup(mode).WithEqualizer(eqCfg))
 		if err != nil {
 			return AblationPoint{}, err
 		}
@@ -105,13 +99,36 @@ func ablationSweeps() []ablationSweep {
 	}
 }
 
-// sweep runs one ablation point per value of s under the given mode.
+// config returns the Equalizer parameters of s's point at value v: the
+// paper's defaults with the swept parameter set to v.
+func (s ablationSweep) config(v int) config.Equalizer {
+	cfg := config.DefaultEqualizer()
+	s.set(&cfg, v)
+	return cfg
+}
+
+// ablationGrid declares every run the given sweeps read: each ablation
+// kernel's baseline and its run under every swept value. The sweeps'
+// default-valued points are one configuration and dedupe in Prefetch.
+func ablationGrid(mode core.Mode, sweeps []ablationSweep) []RunRequest {
+	var grid []RunRequest
+	for _, k := range ablationKernels() {
+		grid = append(grid, RunRequest{Kernel: k, Setup: Baseline()})
+		for _, s := range sweeps {
+			for _, v := range s.values {
+				grid = append(grid, RunRequest{Kernel: k, Setup: EqualizerSetup(mode).WithEqualizer(s.config(v))})
+			}
+		}
+	}
+	return grid
+}
+
+// sweep reads one ablation point per value of s under the given mode.
+// Prefetch ablationGrid first to run the points on the worker pool.
 func (h *Harness) sweep(s ablationSweep, mode core.Mode) ([]AblationPoint, error) {
 	var out []AblationPoint
 	for _, v := range s.values {
-		cfg := config.DefaultEqualizer()
-		s.set(&cfg, v)
-		p, err := h.runAblationPoint(fmt.Sprintf("%s=%d", s.prefix, v), cfg, mode)
+		p, err := h.runAblationPoint(fmt.Sprintf("%s=%d", s.prefix, v), s.config(v), mode)
 		if err != nil {
 			return nil, err
 		}
@@ -122,8 +139,10 @@ func (h *Harness) sweep(s ablationSweep, mode core.Mode) ([]AblationPoint, error
 
 // Ablations runs every sweep in performance mode and renders them.
 func (h *Harness) Ablations() (string, error) {
+	sweeps := ablationSweeps()
+	h.Prefetch(ablationGrid(core.PerformanceMode, sweeps))
 	var b strings.Builder
-	for _, s := range ablationSweeps() {
+	for _, s := range sweeps {
 		pts, err := h.sweep(s, core.PerformanceMode)
 		if err != nil {
 			return "", err

@@ -28,7 +28,7 @@ func (h *Harness) Figure10() ([]Fig10Row, error) {
 			Baseline(),
 			{Policy: "dynCTA", SM: config.VFNormal, Mem: config.VFNormal},
 			{Policy: "ccws", SM: config.VFNormal, Mem: config.VFNormal},
-			{Policy: "equalizer-perf", SM: config.VFNormal, Mem: config.VFNormal},
+			EqualizerSetup(core.PerformanceMode),
 		} {
 			grid = append(grid, RunRequest{Kernel: k, Setup: s})
 		}
@@ -48,7 +48,7 @@ func (h *Harness) Figure10() ([]Fig10Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		eq, err := h.Run(k, Setup{Policy: "equalizer-perf", SM: config.VFNormal, Mem: config.VFNormal})
+		eq, err := h.Run(k, EqualizerSetup(core.PerformanceMode))
 		if err != nil {
 			return nil, err
 		}
@@ -102,23 +102,19 @@ func (h *Harness) Figure11a() (Fig11aData, error) {
 	if err != nil {
 		return Fig11aData{}, err
 	}
+	blocksOnly := EqualizerSetup(core.PerformanceMode)
+	blocksOnly.DisableFrequency = true
 	h.Prefetch([]RunRequest{
 		{Kernel: k, Setup: StaticBlocks(1)},
 		{Kernel: k, Setup: StaticBlocks(2)},
 		{Kernel: k, Setup: StaticBlocks(3)},
-		{Kernel: k, Setup: Setup{
-			Policy: "equalizer-perf", SM: config.VFNormal, Mem: config.VFNormal,
-			DisableFrequency: true,
-		}},
+		{Kernel: k, Setup: blocksOnly},
 	})
 	base, err := h.Figure2a()
 	if err != nil {
 		return Fig11aData{}, err
 	}
-	eq, err := h.Run(k, Setup{
-		Policy: "equalizer-perf", SM: config.VFNormal, Mem: config.VFNormal,
-		DisableFrequency: true,
-	})
+	eq, err := h.Run(k, blocksOnly)
 	if err != nil {
 		return Fig11aData{}, err
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"equalizer/internal/config"
+	"equalizer/internal/core"
 	"equalizer/internal/kernels"
 	"equalizer/internal/metrics"
 )
@@ -25,7 +26,7 @@ func fig7Grid() []RunRequest {
 	for _, k := range kernels.All() {
 		for _, s := range []Setup{
 			Baseline(),
-			{Policy: "equalizer-perf", SM: config.VFNormal, Mem: config.VFNormal},
+			EqualizerSetup(core.PerformanceMode),
 			StaticVF(config.VFHigh, config.VFNormal),
 			StaticVF(config.VFNormal, config.VFHigh),
 		} {
@@ -45,7 +46,7 @@ func (h *Harness) Figure7() ([]Fig7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		eq, err := h.Run(k, Setup{Policy: "equalizer-perf", SM: config.VFNormal, Mem: config.VFNormal})
+		eq, err := h.Run(k, EqualizerSetup(core.PerformanceMode))
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +179,7 @@ func fig8Grid() []RunRequest {
 	for _, k := range kernels.All() {
 		for _, s := range []Setup{
 			Baseline(),
-			{Policy: "equalizer-energy", SM: config.VFNormal, Mem: config.VFNormal},
+			EqualizerSetup(core.EnergyMode),
 			StaticVF(config.VFLow, config.VFNormal),
 			StaticVF(config.VFNormal, config.VFLow),
 		} {
@@ -198,7 +199,7 @@ func (h *Harness) Figure8() ([]Fig8Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		eq, err := h.Run(k, Setup{Policy: "equalizer-energy", SM: config.VFNormal, Mem: config.VFNormal})
+		eq, err := h.Run(k, EqualizerSetup(core.EnergyMode))
 		if err != nil {
 			return nil, err
 		}
@@ -336,16 +337,16 @@ func (h *Harness) Figure9() ([]Fig9Row, error) {
 	var grid []RunRequest
 	for _, k := range kernels.All() {
 		grid = append(grid,
-			RunRequest{Kernel: k, Setup: Setup{Policy: "equalizer-perf", SM: config.VFNormal, Mem: config.VFNormal}},
-			RunRequest{Kernel: k, Setup: Setup{Policy: "equalizer-energy", SM: config.VFNormal, Mem: config.VFNormal}})
+			RunRequest{Kernel: k, Setup: EqualizerSetup(core.PerformanceMode)},
+			RunRequest{Kernel: k, Setup: EqualizerSetup(core.EnergyMode)})
 	}
 	h.Prefetch(grid)
 	var rows []Fig9Row
 	for _, k := range kernels.All() {
 		for _, mode := range []string{"P", "E"} {
-			setup := Setup{Policy: "equalizer-perf", SM: config.VFNormal, Mem: config.VFNormal}
+			setup := EqualizerSetup(core.PerformanceMode)
 			if mode == "E" {
-				setup.Policy = "equalizer-energy"
+				setup = EqualizerSetup(core.EnergyMode)
 			}
 			t, err := h.Run(k, setup)
 			if err != nil {

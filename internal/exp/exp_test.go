@@ -209,7 +209,7 @@ func TestSpmvAdaptivityOrdering(t *testing.T) {
 	}
 	base := h.MustRun(k, Baseline())
 	dyn := h.MustRun(k, Setup{Policy: "dynCTA", SM: config.VFNormal, Mem: config.VFNormal})
-	eq := h.MustRun(k, Setup{Policy: "equalizer-perf", SM: config.VFNormal, Mem: config.VFNormal})
+	eq := h.MustRun(k, EqualizerSetup(core.PerformanceMode))
 	if eq.Speedup(base) <= dyn.Speedup(base) {
 		t.Fatalf("spmv: equalizer %.3f must beat dynCTA %.3f (Figure 11b adaptivity)",
 			eq.Speedup(base), dyn.Speedup(base))

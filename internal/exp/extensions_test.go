@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"equalizer/internal/config"
 	"equalizer/internal/core"
+	"equalizer/internal/exp/runcache"
 	"equalizer/internal/kernels"
 )
 
@@ -54,6 +56,7 @@ func TestAblationEpochSweep(t *testing.T) {
 	if epoch.prefix != "epoch" {
 		t.Fatalf("first ablation sweep is %q, want epoch", epoch.prefix)
 	}
+	h.Prefetch(ablationGrid(core.PerformanceMode, []ablationSweep{epoch}))
 	pts, err := h.sweep(epoch, core.PerformanceMode)
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +81,49 @@ func TestAblationPointRunsCustomConfig(t *testing.T) {
 	}
 	if p.Label != "epoch=2048" || p.Speedup <= 0 {
 		t.Fatalf("bad ablation point %+v", p)
+	}
+}
+
+// TestAblationSweepsRunThroughTheCache: the ablation sweeps are harness
+// cells. Two sweeps simulate each distinct Equalizer configuration once per
+// kernel, plus the kernels' baselines, and store them; a second harness on
+// the same cache simulates nothing and reads the same points.
+func TestAblationSweepsRunThroughTheCache(t *testing.T) {
+	cache, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweeps := ablationSweeps()[1:3] // hysteresis and sample interval
+	distinct := map[config.Equalizer]bool{}
+	for _, s := range sweeps {
+		for _, v := range s.values {
+			distinct[s.config(v)] = true
+		}
+	}
+	n := len(ablationKernels())
+	run := func() ([]AblationPoint, SchedulerStats) {
+		h := New(Options{GridScale: 0.05, Cache: cache})
+		h.Prefetch(ablationGrid(core.PerformanceMode, sweeps))
+		var pts []AblationPoint
+		for _, s := range sweeps {
+			p, err := h.sweep(s, core.PerformanceMode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts = append(pts, p...)
+		}
+		return pts, h.SchedulerStats()
+	}
+	cold, st := run()
+	if want := uint64(len(distinct)*n + n); st.Simulated != want || st.CacheStores != want {
+		t.Errorf("cold sweeps: %+v, want %d simulated and stored", st, want)
+	}
+	warm, st := run()
+	if st.Simulated != 0 {
+		t.Errorf("warm sweeps simulated %d cells, want 0", st.Simulated)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Errorf("warm points %v differ from cold %v", warm, cold)
 	}
 }
 

@@ -288,6 +288,11 @@ type Setup struct {
 	Blocks int
 	// DisableFrequency turns off Equalizer's VF control (Figure 11a).
 	DisableFrequency bool
+	// Equalizer holds the runtime parameters of the equalizer-* policies
+	// and is zero for every other policy, so a baseline cell keys the same
+	// whatever parameters its caller parsed. It stays out of the JSON that
+	// eqsimd serves; cacheKeyFor hashes it explicitly.
+	Equalizer config.Equalizer `json:"-"`
 }
 
 // Baseline is the stock machine: all levels nominal, maximum blocks.
@@ -301,13 +306,23 @@ func StaticBlocks(n int) Setup {
 	return Setup{Policy: "blocks", SM: config.VFNormal, Mem: config.VFNormal, Blocks: n}
 }
 
-// EqualizerSetup runs the Equalizer policy in the given mode.
+// EqualizerSetup runs the Equalizer policy in the given mode with the
+// paper's runtime parameters.
 func EqualizerSetup(mode core.Mode) Setup {
 	name := "equalizer-perf"
 	if mode == core.EnergyMode {
 		name = "equalizer-energy"
 	}
-	return Setup{Policy: name, SM: config.VFNormal, Mem: config.VFNormal}
+	return Setup{Policy: name, SM: config.VFNormal, Mem: config.VFNormal, Equalizer: config.DefaultEqualizer()}
+}
+
+// WithEqualizer returns s run under the Equalizer parameters eq. Setups of
+// the other policies read no parameters and come back unchanged.
+func (s Setup) WithEqualizer(eq config.Equalizer) Setup {
+	if s.Equalizer != (config.Equalizer{}) {
+		s.Equalizer = eq
+	}
+	return s
 }
 
 type runKey struct {
@@ -337,10 +352,11 @@ func cacheKeyFor(version int, g config.GPU, p power.Config, scale float64, kerne
 		Schema    int
 		Kernel    string
 		Setup     Setup
+		Equalizer config.Equalizer
 		GPU       config.GPU
 		Power     power.Config
 		GridScale float64
-	}{version, kernel, s, g, p, scale}
+	}{version, kernel, s, s.Equalizer, g, p, scale}
 	b, err := json.Marshal(payload)
 	if err != nil {
 		panic(fmt.Sprintf("exp: cache key marshal: %v", err)) // flat structs cannot fail
@@ -359,7 +375,9 @@ var vfLevels = map[string]config.VFLevel{
 // empty policy means baseline. baseline, static and blocks take the VF
 // levels; static and blocks also take the block pin when blocks > 0.
 // dynCTA, ccws and the Equalizer modes run at nominal levels and ignore
-// both, but an unknown level name is an error for every policy.
+// both, but an unknown level name is an error for every policy. The
+// Equalizer modes get the paper's runtime parameters; WithEqualizer
+// replaces them.
 func ParseSetup(policy, sm, mem string, blocks int) (Setup, error) {
 	var lv [2]config.VFLevel
 	for i, name := range [2]string{sm, mem} {
@@ -391,8 +409,7 @@ func ParseSetup(policy, sm, mem string, blocks int) (Setup, error) {
 }
 
 // NewPolicy constructs the gpu.Policy for a setup; nil means no tuning.
-// eq parameterises the Equalizer modes.
-func NewPolicy(s Setup, eq config.Equalizer) gpu.Policy {
+func NewPolicy(s Setup) gpu.Policy {
 	switch s.Policy {
 	case "baseline", "":
 		return nil
@@ -403,7 +420,7 @@ func NewPolicy(s Setup, eq config.Equalizer) gpu.Policy {
 		if s.Policy == "equalizer-energy" {
 			mode = core.EnergyMode
 		}
-		e := core.NewWithConfig(mode, eq)
+		e := core.NewWithConfig(mode, s.Equalizer)
 		e.DisableFrequency = s.DisableFrequency
 		return e
 	case "dynCTA":
@@ -601,7 +618,7 @@ func (h *Harness) simulate(ctx context.Context, k kernels.Kernel, s Setup) (t To
 			return Totals{}, err
 		}
 	}
-	m, err := gpu.New(h.gpuCfg, h.pwrCfg, NewPolicy(s, config.DefaultEqualizer()))
+	m, err := gpu.New(h.gpuCfg, h.pwrCfg, NewPolicy(s))
 	if err != nil {
 		return Totals{}, err
 	}

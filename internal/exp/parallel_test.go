@@ -159,6 +159,27 @@ func TestCacheKeySchemaVersion(t *testing.T) {
 	if k1 == cacheKeyFor(1, g, p, 1.0, "cutcp", StaticVF(config.VFHigh, config.VFNormal)) {
 		t.Error("setup not part of the cache key")
 	}
+	short := config.DefaultEqualizer()
+	short.EpochCycles = 2048
+	perf := EqualizerSetup(core.PerformanceMode)
+	if cacheKeyFor(1, g, p, 1.0, "cutcp", perf) == cacheKeyFor(1, g, p, 1.0, "cutcp", perf.WithEqualizer(short)) {
+		t.Error("Equalizer parameters not part of the cache key")
+	}
+	// eqsim hands every parsed setup the Equalizer parameters of its -set
+	// overrides; a baseline cell must key the same whatever they are.
+	for _, set := range []string{"", "epochcycles=2048", "hysteresis=1,sampleinterval=64,memsaturationwarps=4"} {
+		gpuCfg, eq := config.Default(), config.DefaultEqualizer()
+		if err := config.ApplyOverrides(&gpuCfg, &eq, set); err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := ParseSetup("baseline", "", "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cacheKeyFor(1, g, p, 1.0, "cutcp", parsed.WithEqualizer(eq)) != k1 {
+			t.Errorf("-set %q changed the baseline cell's key", set)
+		}
+	}
 }
 
 // schemaScale keeps TestCacheSchemaPinned's 81-cell grid to a few seconds.

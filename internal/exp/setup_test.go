@@ -57,7 +57,6 @@ func TestParseSetup(t *testing.T) {
 }
 
 func TestNewPolicy(t *testing.T) {
-	eq := config.DefaultEqualizer()
 	cases := []struct {
 		policy string
 		blocks int
@@ -77,25 +76,25 @@ func TestNewPolicy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseSetup(%q): %v", tc.policy, err)
 		}
-		p := NewPolicy(s, eq)
+		p := NewPolicy(s)
 		if (p == nil) != (tc.name == "") || p != nil && p.Name() != tc.name {
 			t.Errorf("NewPolicy(%q, blocks=%d) = %v, want name %q", tc.policy, tc.blocks, p, tc.name)
 		}
 	}
-	if p := NewPolicy(Setup{Policy: "boost"}, eq); p == nil || p.Name() != "gpu-boost" {
+	if p := NewPolicy(Setup{Policy: "boost"}); p == nil || p.Name() != "gpu-boost" {
 		t.Errorf("NewPolicy(boost) = %v, want gpu-boost", p)
 	}
 
-	// The Equalizer modes take the supplied runtime parameters.
+	// The Equalizer modes take the setup's runtime parameters.
 	custom := config.DefaultEqualizer()
 	custom.EpochCycles = 2048
-	got := NewPolicy(EqualizerSetup(core.EnergyMode), custom)
+	got := NewPolicy(EqualizerSetup(core.EnergyMode).WithEqualizer(custom))
 	if !reflect.DeepEqual(got, core.NewWithConfig(core.EnergyMode, custom)) {
 		t.Error("NewPolicy ignored the Equalizer config")
 	}
 	s := EqualizerSetup(core.PerformanceMode)
 	s.DisableFrequency = true
-	if e := NewPolicy(s, eq).(*core.Equalizer); !e.DisableFrequency {
+	if e := NewPolicy(s).(*core.Equalizer); !e.DisableFrequency {
 		t.Error("NewPolicy dropped DisableFrequency")
 	}
 }
@@ -123,7 +122,7 @@ func TestSimulateMatchesHarness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := gpu.New(config.Default(), power.Default(), NewPolicy(s, config.DefaultEqualizer()))
+		m, err := gpu.New(config.Default(), power.Default(), NewPolicy(s))
 		if err != nil {
 			t.Fatal(err)
 		}
