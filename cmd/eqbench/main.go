@@ -40,7 +40,7 @@ import (
 	"equalizer/internal/core"
 	"equalizer/internal/exp"
 	"equalizer/internal/exp/runcache"
-	"equalizer/internal/policy"
+	"equalizer/internal/gpu"
 	"equalizer/internal/svg"
 	"equalizer/internal/telemetry"
 )
@@ -192,7 +192,7 @@ func run(h *exp.Harness, name string) (text, doc string, err error) {
 			return "", "", err
 		}
 		doc := svg.LineChart("Figure 2b: mri_g-1 warp states over execution", "epoch",
-			series(pts, func(p policy.EpochPoint) []float64 {
+			series(pts, func(p gpu.EpochPoint) []float64 {
 				return []float64{p.Waiting, p.XMEM, p.XALU}
 			}, "waiting", "excess mem", "excess compute"), 900, 420)
 		return exp.RenderSeries("Figure 2b: mri_g-1 warp-state time series", pts), doc, nil
@@ -268,7 +268,7 @@ func run(h *exp.Harness, name string) (text, doc string, err error) {
 		eq := series(d.Equalizer, func(p core.TracePoint) []float64 {
 			return []float64{p.Counters.Active, p.Counters.Waiting}
 		}, "equalizer active warps", "equalizer waiting")
-		dyn := series(d.DynCTA, func(p policy.EpochPoint) []float64 {
+		dyn := series(d.DynCTA, func(p gpu.EpochPoint) []float64 {
 			return []float64{p.Active}
 		}, "dynCTA active warps")
 		doc := svg.LineChart("Figure 11b: spmv concurrency adaptation", "epoch", append(eq, dyn...), 900, 420)

@@ -142,8 +142,9 @@ func run(opts options, stdout io.Writer) error {
 	}
 
 	// A traced run checks its flags before it simulates or creates the
-	// file. eq is the Equalizer whose per-epoch rows are written; it stays
-	// nil for chrome traces.
+	// file. eq is the Equalizer whose per-epoch rows are written (it
+	// records, as exp.NewPolicy builds every Equalizer); it stays nil for
+	// chrome traces.
 	format := cmp.Or(opts.traceFormat, "table")
 	var (
 		eq    *core.Equalizer
@@ -158,7 +159,6 @@ func run(opts options, stdout io.Writer) error {
 			if eq, ok = pol.(*core.Equalizer); !ok {
 				return fmt.Errorf("-trace-format %s needs an equalizer policy; %s records no per-epoch trace", format, name)
 			}
-			eq.Record = true
 		default:
 			return fmt.Errorf("unknown -trace-format %q (want table, json, csv or chrome)", format)
 		}

@@ -15,8 +15,9 @@ import (
 // simulation failing fast. No input may panic, and each must end one of
 // two ways: a cache hit whose Totals are plausible for the kernel, or the
 // injected fault after exactly one simulation attempt. The seed corpus in
-// testdata/fuzz holds a real entry, a truncated one and the degenerate
-// bodies of TestDegenerateCacheEntryResimulated.
+// testdata/fuzz holds a current entry (a cache hit), an entry from before
+// the census was stored (real-entry, now implausible), a truncated one and
+// the degenerate bodies of TestDegenerateCacheEntryResimulated.
 func FuzzCacheEntry(f *testing.F) {
 	k, err := kernels.ByName("bfs-2")
 	if err != nil {

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -10,7 +9,6 @@ import (
 	"equalizer/internal/gpu"
 	"equalizer/internal/kernels"
 	"equalizer/internal/metrics"
-	"equalizer/internal/policy"
 )
 
 // Table1 renders Table I: the action matrix of the Equalizer runtime.
@@ -250,35 +248,23 @@ func RenderFigure2a(d Fig2aData) string {
 }
 
 // Figure2b records the warp-state time series of mri_g-1 (paper Figure 2b):
-// waiting warps vs excess-memory vs excess-compute warps over the run.
-func (h *Harness) Figure2b() ([]policy.EpochPoint, error) {
+// waiting warps vs excess-memory vs excess-compute warps over the run. It
+// reads the census of mri_g-1's baseline cell, whose one invocation is the
+// whole run.
+func (h *Harness) Figure2b() ([]gpu.EpochPoint, error) {
 	k, err := kernels.ByName("mri_g-1")
 	if err != nil {
 		return nil, err
 	}
-	return h.monitorSeries(k)
-}
-
-// monitorSeries runs a kernel with the passive monitor and returns the
-// per-epoch census series of the final invocation.
-func (h *Harness) monitorSeries(k kernels.Kernel) ([]policy.EpochPoint, error) {
-	mon := policy.NewMonitor()
-	m, err := gpu.New(h.gpuCfg, h.pwrCfg, mon)
+	t, err := h.Run(k, Baseline())
 	if err != nil {
 		return nil, err
 	}
-	var series []policy.EpochPoint
-	_, err = Simulate(context.Background(), m, h.scaled(k), func(int, gpu.Result) {
-		series = append(series, mon.Series()...)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return series, nil
+	return t.Census[0].Series, nil
 }
 
 // RenderSeries formats an epoch census series.
-func RenderSeries(title string, pts []policy.EpochPoint) string {
+func RenderSeries(title string, pts []gpu.EpochPoint) string {
 	var b strings.Builder
 	b.WriteString(title + "\n")
 	t := metrics.NewTable("epoch", "active", "waiting", "xmem", "xalu")
@@ -298,20 +284,23 @@ type Fig4Row struct {
 }
 
 // Figure4 measures the state of warps for all kernels at maximum threads.
+// It reads invocation 0 of each kernel's baseline cell, the cells Figure 7
+// also runs. That is the first invocation, not the dominant one: at full
+// scale bfs-2's invocation 0 takes 21 µs, against 149 µs for each of its
+// invocations 7-9.
 func (h *Harness) Figure4() ([]Fig4Row, error) {
+	var grid []RunRequest
+	for _, k := range kernels.All() {
+		grid = append(grid, RunRequest{Kernel: k, Setup: Baseline()})
+	}
+	h.Prefetch(grid)
 	var rows []Fig4Row
 	for _, k := range kernels.All() {
-		mon := policy.NewMonitor()
-		m, err := gpu.New(h.gpuCfg, h.pwrCfg, mon)
+		t, err := h.Run(k, Baseline())
 		if err != nil {
 			return nil, err
 		}
-		kk := h.scaled(k)
-		// The distribution is measured on the kernel's dominant invocation.
-		if _, err := m.RunKernel(kk, 0); err != nil {
-			return nil, err
-		}
-		w, i, xa, xm := mon.Distribution()
+		w, i, xa, xm := t.Census[0].Distribution()
 		rows = append(rows, Fig4Row{
 			Kernel: k.Name, Category: k.Category,
 			Waiting: w, Issued: i, XALU: xa, XMEM: xm,

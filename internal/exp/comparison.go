@@ -9,7 +9,6 @@ import (
 	"equalizer/internal/gpu"
 	"equalizer/internal/kernels"
 	"equalizer/internal/metrics"
-	"equalizer/internal/policy"
 )
 
 // Fig10Row is one cache-study kernel's speedups under the three concurrency
@@ -149,41 +148,32 @@ type Fig11bData struct {
 	// Equalizer is the per-epoch trace of SM 0 (active warps track the
 	// concurrency Equalizer chose; Waiting shows the phase change).
 	Equalizer []core.TracePoint
-	// DynCTA is the per-epoch mean active warp count under DynCTA.
-	DynCTA []policy.EpochPoint
+	// DynCTA is the per-epoch chip-wide census under DynCTA; Active is
+	// the mean active warp count per SM.
+	DynCTA []gpu.EpochPoint
 }
 
-// Figure11b traces spmv's execution under both controllers.
+// Figure11b traces spmv's first invocation under both controllers. It
+// reads two cells: Equalizer with frequency control off, as in Figure 11a,
+// and DynCTA.
 func (h *Harness) Figure11b() (Fig11bData, error) {
 	k, err := kernels.ByName("spmv")
 	if err != nil {
 		return Fig11bData{}, err
 	}
-	kk := h.scaled(k)
-
-	eq := core.New(core.PerformanceMode)
-	eq.Record = true
-	eq.DisableFrequency = true
-	m, err := gpu.New(h.gpuCfg, h.pwrCfg, eq)
+	blocksOnly := EqualizerSetup(core.PerformanceMode)
+	blocksOnly.DisableFrequency = true
+	dynCTA := Setup{Policy: "dynCTA", SM: config.VFNormal, Mem: config.VFNormal}
+	h.Prefetch([]RunRequest{{Kernel: k, Setup: blocksOnly}, {Kernel: k, Setup: dynCTA}})
+	eq, err := h.Run(k, blocksOnly)
 	if err != nil {
 		return Fig11bData{}, err
 	}
-	if _, err := m.RunKernel(kk, 0); err != nil {
-		return Fig11bData{}, err
-	}
-	d := Fig11bData{Equalizer: append([]core.TracePoint(nil), eq.Trace()...)}
-
-	mon := policy.NewMonitor()
-	dyn := policy.NewDynCTA()
-	m2, err := gpu.New(h.gpuCfg, h.pwrCfg, policy.Multi{dyn, mon})
+	dyn, err := h.Run(k, dynCTA)
 	if err != nil {
 		return Fig11bData{}, err
 	}
-	if _, err := m2.RunKernel(kk, 0); err != nil {
-		return Fig11bData{}, err
-	}
-	d.DynCTA = append(d.DynCTA, mon.Series()...)
-	return d, nil
+	return Fig11bData{Equalizer: eq.Trace[0], DynCTA: dyn.Census[0].Series}, nil
 }
 
 // RenderFigure11b formats the spmv adaptivity traces.

@@ -232,13 +232,36 @@ type Totals struct {
 	Residency gpu.Residency
 	// PerInvocationPS holds each invocation's wall time.
 	PerInvocationPS []int64
+	// Census holds each invocation's warp-state census, and Trace, for the
+	// equalizer-* policies, each invocation's per-epoch record of SM 0.
+	// Both stay off the JSON that eqsim and eqsimd print; the disk cache
+	// stores them through cacheEntry.
+	Census []gpu.Census        `json:"-"`
+	Trace  [][]core.TracePoint `json:"-"`
+}
+
+// cacheEntry is a cell's stored form: the Totals with the per-invocation
+// records their JSON leaves out.
+type cacheEntry struct {
+	Totals
+	Census []gpu.Census
+	Trace  [][]core.TracePoint
+}
+
+func entryOf(t Totals) cacheEntry { return cacheEntry{t, t.Census, t.Trace} }
+
+func (e cacheEntry) totals() Totals {
+	t := e.Totals
+	t.Census, t.Trace = e.Census, e.Trace
+	return t
 }
 
 // plausible reports whether t could be the result of simulating a kernel
-// with the given number of invocations: positive time, one entry per
-// invocation, and per-invocation times that sum to the total.
+// with the given number of invocations: positive time, one wall time and
+// one census per invocation, and per-invocation times that sum to the
+// total.
 func (t Totals) plausible(invocations int) bool {
-	if t.TimePS <= 0 || len(t.PerInvocationPS) != invocations {
+	if t.TimePS <= 0 || len(t.PerInvocationPS) != invocations || len(t.Census) != invocations {
 		return false
 	}
 	var sum int64
@@ -331,13 +354,14 @@ type runKey struct {
 }
 
 // cacheSchemaVersion invalidates every persistent entry when the simulator
-// or the Totals layout changes in a result-affecting way. Bump it whenever
-// stored results would no longer match a fresh simulation.
-const cacheSchemaVersion = 1
+// or the stored entry's layout changes in a result-affecting way. Bump it
+// whenever stored results would no longer match a fresh simulation.
+const cacheSchemaVersion = 2
 
-// cacheSchemaDigest is the sha256 of the Totals that TestCacheSchemaPinned
-// simulates at cacheSchemaVersion. Re-pin it with every version bump.
-const cacheSchemaDigest = "63ef4edb5478b48102547e684cb6396bb13f77f504a076c341f1cad8241c662f"
+// cacheSchemaDigest is the sha256 of the cache entries that
+// TestCacheSchemaPinned simulates at cacheSchemaVersion. Re-pin it with
+// every version bump.
+const cacheSchemaDigest = "1fa5e283b8c71dddffeb180693289ef4678cbcc697bc3c6a10d9f2a7db93417c"
 
 // cacheKey derives the stable content hash identifying one run's result.
 func (h *Harness) cacheKey(kernel string, s Setup) string {
@@ -422,6 +446,7 @@ func NewPolicy(s Setup) gpu.Policy {
 		}
 		e := core.NewWithConfig(mode, s.Equalizer)
 		e.DisableFrequency = s.DisableFrequency
+		e.Record = true
 		return e
 	case "dynCTA":
 		return policy.NewDynCTA()
@@ -435,9 +460,11 @@ func NewPolicy(s Setup) gpu.Policy {
 }
 
 // Simulate runs every invocation of k on m in launch order and aggregates
-// them into Totals. each, when non-nil, sees every invocation's result. The
-// context is checked between invocations: a canceled run stops at the next
-// invocation boundary rather than finishing the whole sequence.
+// them into Totals, each invocation's census and, when m runs a recording
+// Equalizer, SM 0's trace included. each, when non-nil, sees every
+// invocation's result. The context is checked between invocations: a
+// canceled run stops at the next invocation boundary rather than finishing
+// the whole sequence.
 func Simulate(ctx context.Context, m *gpu.Machine, k kernels.Kernel, each func(inv int, r gpu.Result)) (Totals, error) {
 	var t Totals
 	var l1Weighted, dramWeighted float64
@@ -463,6 +490,10 @@ func Simulate(ctx context.Context, m *gpu.Machine, k kernels.Kernel, each func(i
 			t.Residency.Mem[i] += res.Residency.Mem[i]
 		}
 		t.PerInvocationPS = append(t.PerInvocationPS, res.TimePS)
+		t.Census = append(t.Census, res.Census)
+		if e, ok := m.Policy().(*core.Equalizer); ok && e.Record {
+			t.Trace = append(t.Trace, e.Trace())
+		}
 	}
 	if t.SMCycles > 0 {
 		t.L1Hit = l1Weighted / float64(t.SMCycles)
@@ -574,10 +605,11 @@ func (h *Harness) loadOrSimulate(ctx context.Context, k kernels.Kernel, s Setup)
 		return t, SourceSim, err
 	}
 	key := h.cacheKey(k.Name, s)
-	var t Totals
+	var e cacheEntry
 	lookup := h.clock()
-	ok, err := h.cache.Load(key, &t)
+	ok, err := h.cache.Load(key, &e)
 	h.observeStage(h.stageCache, lookup)
+	t := e.totals()
 	if ok && t.plausible(h.scaled(k).Invocations) {
 		h.cacheHits.Inc()
 		return t, SourceCache, nil
@@ -591,7 +623,7 @@ func (h *Harness) loadOrSimulate(ctx context.Context, k kernels.Kernel, s Setup)
 	if err != nil {
 		return Totals{}, SourceNone, err
 	}
-	if serr := h.cache.Store(key, t); serr != nil {
+	if serr := h.cache.Store(key, entryOf(t)); serr != nil {
 		h.cacheErrs.Inc()
 	} else {
 		h.cacheStores.Inc()

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"equalizer/internal/config"
@@ -186,10 +187,11 @@ func TestCacheKeySchemaVersion(t *testing.T) {
 const schemaScale = 0.05
 
 // TestCacheSchemaPinned ties cacheSchemaVersion to the model: it hashes the
-// Totals JSON of every kernel under baseline and both Equalizer modes and
-// compares the digest with cacheSchemaDigest. A change that moves any
-// result fails here until it bumps cacheSchemaVersion, so no disk cache
-// serves an older model's numbers, and re-pins the digest.
+// stored cache entry (the Totals JSON plus each invocation's census and, for
+// Equalizer, SM 0's trace) of every kernel under baseline and both Equalizer
+// modes and compares the digest with cacheSchemaDigest. A change that moves
+// any stored result fails here until it bumps cacheSchemaVersion, so no disk
+// cache serves an older model's numbers, and re-pins the digest.
 func TestCacheSchemaPinned(t *testing.T) {
 	h := New(Options{GridScale: schemaScale})
 	setups := []Setup{Baseline(), EqualizerSetup(core.PerformanceMode), EqualizerSetup(core.EnergyMode)}
@@ -206,7 +208,7 @@ func TestCacheSchemaPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(tot)
+		b, err := json.Marshal(entryOf(tot))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,3 +374,81 @@ func TestBestStaticBlocksCutoffDeterministic(t *testing.T) {
 		t.Errorf("sweep outcome depends on parallelism: %+v", results)
 	}
 }
+
+// TestKeyedFiguresRunThroughTheCache: Figures 2b, 4 and 11b read harness
+// cells. On a fresh harness they simulate exactly the 27 baseline cells and
+// the two spmv cells; a second harness on the same disk cache simulates
+// nothing and returns the same figure data, so each invocation's census and
+// SM 0's Equalizer trace survive the disk round trip. The census and the
+// trace stay off the Totals JSON, which keeps its seven keys.
+func TestKeyedFiguresRunThroughTheCache(t *testing.T) {
+	cache, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type figures struct {
+		fig2b  []gpu.EpochPoint
+		fig4   []Fig4Row
+		fig11b Fig11bData
+	}
+	run := func() (*Harness, figures) {
+		h := New(Options{GridScale: keyedScale, Parallelism: 2, Cache: cache})
+		var f figures
+		var err error
+		if f.fig4, err = h.Figure4(); err != nil {
+			t.Fatal(err)
+		}
+		if f.fig2b, err = h.Figure2b(); err != nil {
+			t.Fatal(err)
+		}
+		if f.fig11b, err = h.Figure11b(); err != nil {
+			t.Fatal(err)
+		}
+		return h, f
+	}
+	h, cold := run()
+	want := uint64(len(kernels.All()) + 2)
+	if st := h.SchedulerStats(); st.Simulated != want || st.CacheStores != want {
+		t.Errorf("cold figures: %+v, want %d simulated and stored", st, want)
+	}
+	if len(cold.fig2b) == 0 || len(cold.fig11b.Equalizer) == 0 || len(cold.fig11b.DynCTA) == 0 {
+		t.Fatalf("empty series at scale %g: %d fig2b, %d equalizer, %d dynCTA epochs", keyedScale,
+			len(cold.fig2b), len(cold.fig11b.Equalizer), len(cold.fig11b.DynCTA))
+	}
+	h2, warm := run()
+	if st := h2.SchedulerStats(); st.Simulated != 0 || st.CacheHits != want {
+		t.Errorf("warm figures: %+v, want 0 simulated and %d cache hits", st, want)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Errorf("figure data from the disk cache differs:\ncold %+v\nwarm %+v", cold, warm)
+	}
+
+	k, err := kernels.ByName("spmv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tot, err := h2.Run(k, EqualizerSetup(core.PerformanceMode))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(tot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(b, &keys); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for key := range keys {
+		got = append(got, key)
+	}
+	sort.Strings(got)
+	if w := []string{"DRAMUtil", "EnergyJ", "L1Hit", "PerInvocationPS", "Residency", "SMCycles", "TimePS"}; !reflect.DeepEqual(got, w) {
+		t.Errorf("Totals JSON keys = %v, want %v", got, w)
+	}
+}
+
+// keyedScale is the smallest grid scale at which every series the keyed
+// figures read holds at least one complete epoch.
+const keyedScale = 0.1

@@ -85,12 +85,15 @@ func TestNewPolicy(t *testing.T) {
 		t.Errorf("NewPolicy(boost) = %v, want gpu-boost", p)
 	}
 
-	// The Equalizer modes take the setup's runtime parameters.
+	// The Equalizer modes take the setup's runtime parameters and record
+	// their per-epoch trace, which Totals keeps.
 	custom := config.DefaultEqualizer()
 	custom.EpochCycles = 2048
 	got := NewPolicy(EqualizerSetup(core.EnergyMode).WithEqualizer(custom))
-	if !reflect.DeepEqual(got, core.NewWithConfig(core.EnergyMode, custom)) {
-		t.Error("NewPolicy ignored the Equalizer config")
+	want := core.NewWithConfig(core.EnergyMode, custom)
+	want.Record = true
+	if !reflect.DeepEqual(got, want) {
+		t.Error("NewPolicy ignored the Equalizer config or did not record")
 	}
 	s := EqualizerSetup(core.PerformanceMode)
 	s.DisableFrequency = true
@@ -101,7 +104,7 @@ func TestNewPolicy(t *testing.T) {
 
 // TestSimulateMatchesHarness: a fresh machine set up for a parsed cell and
 // driven by Simulate (eqsim's live path) produces exactly the harness's
-// result for every policy ParseSetup accepts.
+// result for every policy ParseSetup accepts, census and trace included.
 func TestSimulateMatchesHarness(t *testing.T) {
 	k := testKernel(t)
 	h := New(Options{GridScale: 0.05})
@@ -138,6 +141,9 @@ func TestSimulateMatchesHarness(t *testing.T) {
 		if string(gj) != string(wj) {
 			t.Errorf("%v: Simulate = %s\nharness = %s", c, gj, wj)
 		}
+		if !reflect.DeepEqual(got.Census, want.Census) || !reflect.DeepEqual(got.Trace, want.Trace) {
+			t.Errorf("%v: Simulate's census or trace differs from the harness's", c)
+		}
 		if invs != k.Invocations {
 			t.Errorf("%v: each ran %d times, want %d", c, invs, k.Invocations)
 		}
@@ -173,9 +179,9 @@ func TestDegenerateCacheEntryResimulated(t *testing.T) {
 			if st := h2.SchedulerStats(); st.CacheErrors != 1 || st.CacheStores != 1 {
 				t.Errorf("stats = %+v, want 1 cache error and 1 store", st)
 			}
-			var healed Totals
+			var healed cacheEntry
 			if ok, err := cache.Load(h.cacheKey(k.Name, Baseline()), &healed); !ok || err != nil ||
-				!reflect.DeepEqual(healed, want) {
+				!reflect.DeepEqual(healed.totals(), want) {
 				t.Errorf("entry not overwritten: ok=%v err=%v %+v", ok, err, healed)
 			}
 		})

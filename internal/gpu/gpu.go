@@ -9,6 +9,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 
 	"equalizer/internal/cache"
 	"equalizer/internal/clock"
@@ -55,6 +56,9 @@ type Result struct {
 	DRAMUtil float64
 	// Residency is wall time spent at each (domain, level).
 	Residency Residency
+	// Census is the invocation's chip-wide warp-state census; RunConcurrent
+	// reports it on the aggregate result only.
+	Census Census
 }
 
 // Residency records VF-state wall time for Figure 9.
@@ -100,6 +104,11 @@ type Machine struct {
 	meter *power.Meter
 
 	policy Policy
+	// census is the running invocation's warp-state census; censusOpen and
+	// censusN sum the open epoch's samples (see sampleCensus).
+	census     Census
+	censusOpen StateSums
+	censusN    int
 
 	// Kernel launch state: one partition per concurrently running kernel
 	// (a single partition spanning every SM in the common case).
@@ -178,6 +187,9 @@ func (m *Machine) AttachTelemetry(b *telemetry.Bus) {
 // Bus returns the attached telemetry bus (nil when detached). Policies use
 // it to emit their own events; Emit on a nil bus is a no-op.
 func (m *Machine) Bus() *telemetry.Bus { return m.bus }
+
+// Policy returns the policy the machine was built with (nil for none).
+func (m *Machine) Policy() Policy { return m.policy }
 
 // Config returns the hardware configuration.
 func (m *Machine) Config() config.GPU { return m.cfg }
@@ -414,6 +426,8 @@ func (m *Machine) launch(tasks []Task) (runStart, error) {
 	if m.policy != nil {
 		m.policy.Reset(m, m.parts[0].kernel)
 	}
+	m.census = Census{Series: m.census.Series[:0]} // the last Result holds a copy
+	m.censusOpen, m.censusN = StateSums{}, 0
 
 	startPS := int64(m.smDomain.Next())
 	for p := range m.parts {
@@ -459,6 +473,9 @@ func (m *Machine) loop() error {
 			if m.policy != nil {
 				m.policy.OnSMCycle(m, now, smCycle)
 			}
+			if smCycle%censusInterval == 0 {
+				m.sampleCensus(smCycle)
+			}
 			if invariant.Enabled && smCycle%machineCheckInterval == 0 {
 				m.verifyInvariants()
 			}
@@ -495,6 +512,10 @@ func (m *Machine) assemble(start runStart) ([]Result, Result) {
 		SMCycles:   m.smDomain.Cycle() - start.smCycles,
 		TimePS:     endPS - start.ps,
 		Energy:     m.meter.Energy(),
+		Census:     Census{Sums: m.census.Sums},
+	}
+	if len(m.census.Series) > 0 {
+		total.Census.Series = slices.Clone(m.census.Series)
 	}
 	cycles := float64(total.SMCycles)
 	if cycles > 0 {

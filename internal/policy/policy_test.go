@@ -48,78 +48,6 @@ func TestStaticBlocksPinsTarget(t *testing.T) {
 	}
 }
 
-func TestMonitorDistributionComputeKernel(t *testing.T) {
-	mon := NewMonitor()
-	m := machine(t, mon)
-	if _, err := m.RunKernel(kernel(t, "cutcp", 30), 0); err != nil {
-		t.Fatal(err)
-	}
-	w, i, xa, xm := mon.Distribution()
-	sum := w + i + xa + xm
-	if sum < 0.99 || sum > 1.01 {
-		t.Fatalf("distribution sums to %g, want 1", sum)
-	}
-	if xa < 0.3 {
-		t.Fatalf("compute kernel excess-ALU fraction = %.2f, want dominant", xa)
-	}
-	if xa <= xm {
-		t.Fatalf("compute kernel has XALU %.2f <= XMEM %.2f", xa, xm)
-	}
-}
-
-func TestMonitorDistributionMemoryKernel(t *testing.T) {
-	mon := NewMonitor()
-	m := machine(t, mon)
-	if _, err := m.RunKernel(kernel(t, "lbm", 105), 0); err != nil {
-		t.Fatal(err)
-	}
-	_, _, xa, xm := mon.Distribution()
-	if xm <= xa {
-		t.Fatalf("memory kernel has XMEM %.2f <= XALU %.2f", xm, xa)
-	}
-	if xm < 0.1 {
-		t.Fatalf("memory kernel XMEM fraction = %.2f, want significant", xm)
-	}
-}
-
-func TestMonitorSeriesTracksEpochs(t *testing.T) {
-	mon := NewMonitor()
-	m := machine(t, mon)
-	if _, err := m.RunKernel(kernel(t, "cutcp", 60), 0); err != nil {
-		t.Fatal(err)
-	}
-	series := mon.Series()
-	if len(series) < 2 {
-		t.Fatalf("series has %d epochs, want several", len(series))
-	}
-	for i, p := range series {
-		if p.Epoch != i+1 {
-			t.Fatalf("epoch numbering broken at %d: %d", i, p.Epoch)
-		}
-		if p.Active < 0 || p.Active > 48 {
-			t.Fatalf("active out of range: %g", p.Active)
-		}
-	}
-}
-
-func TestMonitorResetClears(t *testing.T) {
-	mon := NewMonitor()
-	m := machine(t, mon)
-	if _, err := m.RunKernel(kernel(t, "cutcp", 30), 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(mon.Series()) == 0 {
-		t.Fatal("no series collected")
-	}
-	mon.Reset(m, kernels.Kernel{})
-	if len(mon.Series()) != 0 {
-		t.Fatal("series survived reset")
-	}
-	if w, i, xa, xm := mon.Distribution(); w+i+xa+xm != 0 {
-		t.Fatal("distribution nonzero after reset")
-	}
-}
-
 func TestDynCTAThrottlesCacheKernel(t *testing.T) {
 	dyn := NewDynCTA()
 	m := machine(t, dyn)
@@ -202,26 +130,6 @@ func TestCCWSKeepsBlockCountAndFrequency(t *testing.T) {
 	}
 	if m.SMLevel() != config.VFNormal || m.MemLevel() != config.VFNormal {
 		t.Fatal("CCWS changed frequency")
-	}
-}
-
-func TestMultiFansOut(t *testing.T) {
-	mon := NewMonitor()
-	dyn := NewDynCTA()
-	multi := Multi{dyn, mon}
-	if multi.Name() != "multi(dynCTA+monitor)" {
-		t.Fatalf("multi name = %q", multi.Name())
-	}
-	m := machine(t, multi)
-	k := kernel(t, "kmn", 90)
-	if _, err := m.RunKernel(k, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(mon.Series()) == 0 {
-		t.Fatal("monitor saw nothing through Multi")
-	}
-	if tb := m.SM(0).TargetBlocks(); tb >= k.MaxResidentBlocks(48) {
-		t.Fatal("dynCTA did not act through Multi")
 	}
 }
 

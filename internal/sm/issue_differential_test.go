@@ -35,7 +35,6 @@ type capture struct {
 	dropped  uint64
 	trace    []byte
 	eqTraces [][]core.TracePoint
-	series   []policy.EpochPoint
 }
 
 // censusMask records the per-cycle stall census and every warp issue on
@@ -94,16 +93,9 @@ func runCapture(t *testing.T, cfg config.GPU, tasks []gpu.Task, invocations int,
 	}
 	c.trace = buf.Bytes()
 
-	switch p := pol.(type) {
-	case *core.Equalizer:
+	if p, ok := pol.(*core.Equalizer); ok {
 		for i := 0; i < m.NumSMs(); i++ {
 			c.eqTraces = append(c.eqTraces, p.TraceSM(i))
-		}
-	case policy.Multi:
-		for _, member := range p {
-			if mon, ok := member.(*policy.Monitor); ok {
-				c.series = append([]policy.EpochPoint(nil), mon.Series()...)
-			}
 		}
 	}
 	return c
@@ -152,9 +144,6 @@ func compareCaptures(t *testing.T, bitset, scan capture) {
 				break
 			}
 		}
-	}
-	if !reflect.DeepEqual(bitset.series, scan.series) {
-		t.Errorf("Monitor epoch series diverge:\nbitset: %+v\nscan:   %+v", bitset.series, scan.series)
 	}
 }
 
@@ -206,19 +195,18 @@ func TestFastForwardByteIdenticalCensusMask(t *testing.T) {
 	}
 }
 
-// TestFastForwardByteIdenticalMonitorMulti compares a Multi fan-out of a
-// static-concurrency policy and the passive Monitor: the Monitor's per-epoch
-// series is built from the census snapshots, so it pins the popcount census
-// against the scan's over two back-to-back invocations.
+// TestFastForwardByteIdenticalMonitorMulti compares a static-concurrency
+// run: the machine's warp-state census, compared inside each Result, is
+// built from the SM snapshots, so it pins the popcount census against the
+// scan's over two back-to-back invocations. (The name is from when a
+// Monitor policy sampled the census behind a Multi fan-out.)
 func TestFastForwardByteIdenticalMonitorMulti(t *testing.T) {
 	k, err := kernels.ByName("bp-1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	k.GridBlocks = 45
-	mk := func() gpu.Policy {
-		return policy.Multi{policy.NewStaticBlocks(4), policy.NewMonitor()}
-	}
+	mk := func() gpu.Policy { return policy.NewStaticBlocks(4) }
 	runPair(t, config.Default(), []gpu.Task{{Kernel: k}}, 2, mk, telemetry.MaskSpans)
 }
 
