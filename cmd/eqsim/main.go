@@ -9,6 +9,7 @@
 //	eqsim -kernel spmv -policy equalizer-perf -trace t.txt              # SM 0 epoch table
 //	eqsim -kernel spmv -policy equalizer-perf -trace t.csv -trace-format csv -trace-sm all
 //	eqsim -kernel spmv -policy dynCTA -trace t.json -trace-format chrome # Perfetto
+//	eqsim -kernel spmv -policy equalizer-perf -set disablefrequency=1    # Figure 11b's cell
 //
 // Policies: baseline (no tuning, at -sm/-mem), static and blocks (at
 // -sm/-mem with the -blocks pin), dynCTA, ccws, equalizer-energy,
@@ -24,10 +25,10 @@
 //
 // Results persist in the same disk cache eqbench uses (-cache-dir, default
 // .eqcache): rerunning an already-simulated configuration, -set overrides
-// included, is instant. -no-cache runs without the disk cache. -v, -metrics
-// and -trace force a live simulation: they need per-invocation results or
-// machine state the cache does not hold. -json emits the result as
-// {kernel, policy, totals} for scripting.
+// included (the actuator switches too), is instant. -no-cache runs without
+// the disk cache. -v, -metrics and -trace force a live simulation: they need
+// per-invocation results or machine state the cache does not hold. -json
+// emits the result as {kernel, policy, totals} for scripting.
 package main
 
 import (
@@ -94,7 +95,7 @@ func main() {
 	flag.StringVar(&opts.cacheDir, "cache-dir", ".eqcache", "persistent result-cache directory")
 	flag.BoolVar(&opts.noCache, "no-cache", false, "disable the persistent result cache")
 	flag.StringVar(&opts.metrics, "metrics", "", "write machine counters to this file after the run")
-	flag.StringVar(&opts.set, "set", "", "comma-separated config overrides, e.g. numsms=8,l1.sets=32,epochcycles=2048")
+	flag.StringVar(&opts.set, "set", "", "comma-separated config overrides, e.g. numsms=8,l1.sets=32,epochcycles=2048,disablefrequency=1")
 	flag.BoolVar(&opts.asJSON, "json", false, "emit the result as JSON ({kernel, policy, totals})")
 	flag.StringVar(&opts.trace, "trace", "", "write the run's execution trace to this file")
 	flag.StringVar(&opts.traceFormat, "trace-format", "", "trace format: table (default) | json | csv | chrome")

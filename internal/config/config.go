@@ -164,6 +164,9 @@ type Equalizer struct {
 	// MemSaturationWarps is the Xmem floor that indicates bandwidth
 	// saturation (2 in the paper, Section III-A).
 	MemSaturationWarps int
+	// DisableFrequency and DisableBlocks turn off the VF or the block-count
+	// actuator (Figure 11 isolates block control); zero is the paper's.
+	DisableFrequency, DisableBlocks bool
 }
 
 // Default returns the Table III machine.
@@ -266,10 +269,8 @@ func (e Equalizer) Validate() error {
 	case e.MemSaturationWarps < 0:
 		return fmt.Errorf("config: MemSaturationWarps must be non-negative, got %d",
 			e.MemSaturationWarps)
+	case e.DisableFrequency && e.DisableBlocks:
+		return fmt.Errorf("config: DisableFrequency and DisableBlocks together leave Equalizer no actuator")
 	}
 	return nil
 }
-
-// SamplesPerEpoch returns the number of instruction-buffer samples taken in
-// one epoch window.
-func (e Equalizer) SamplesPerEpoch() int { return e.EpochCycles / e.SampleInterval }

@@ -40,9 +40,6 @@ func TestEqualizerDefaultsMatchPaper(t *testing.T) {
 	if e.EpochCycles != 4096 {
 		t.Fatalf("epoch = %d; want 4096", e.EpochCycles)
 	}
-	if e.SamplesPerEpoch() != 32 {
-		t.Fatalf("samples/epoch = %d; want 32", e.SamplesPerEpoch())
-	}
 	if e.Hysteresis != 3 {
 		t.Fatalf("hysteresis = %d; want 3", e.Hysteresis)
 	}
@@ -158,6 +155,7 @@ func TestEqualizerValidateRejectsBadConfigs(t *testing.T) {
 		{"non-multiple", func(e *Equalizer) { e.EpochCycles = 100 }},
 		{"zero hysteresis", func(e *Equalizer) { e.Hysteresis = 0 }},
 		{"negative floor", func(e *Equalizer) { e.MemSaturationWarps = -1 }},
+		{"both actuators off", func(e *Equalizer) { e.DisableFrequency, e.DisableBlocks = true, true }},
 	}
 	for _, tc := range cases {
 		e := DefaultEqualizer()

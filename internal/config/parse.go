@@ -11,7 +11,7 @@ import (
 // GPU and an Equalizer configuration, then validates both. Keys are
 // case-insensitive field names, with dots for nested structs:
 //
-//	numsms=8,l1.sets=32,epochcycles=2048
+//	numsms=8,l1.sets=32,epochcycles=2048,disablefrequency=1
 //
 // GPU fields are tried first, Equalizer fields second, so every tunable is
 // reachable from a single flat namespace (no field name collides between
@@ -80,6 +80,12 @@ func setField(v reflect.Value, path, val string) (bool, error) {
 				return false, fmt.Errorf("config: override %s: %w", path, err)
 			}
 			f.SetFloat(x)
+		case reflect.Bool:
+			b, err := strconv.ParseBool(val)
+			if err != nil {
+				return false, fmt.Errorf("config: override %s: %w", path, err)
+			}
+			f.SetBool(b)
 		case reflect.Struct:
 			return false, fmt.Errorf("config: override %s names a struct; use %s.<field>", path, path)
 		default:

@@ -14,6 +14,23 @@ func TestApplyOverrides(t *testing.T) {
 	if g.NumSMs != 8 || g.L1.Sets != 32 || e.EpochCycles != 2048 || g.Modulation != 0.2 {
 		t.Fatalf("overrides not applied: %+v %+v", g, e)
 	}
+	for _, tc := range []struct {
+		spec         string
+		freq, blocks bool
+	}{
+		{"disablefrequency=1", true, false},
+		{"DisableBlocks=true", false, true},
+		{"disablefrequency=1,disablefrequency=0", false, false},
+	} {
+		e := DefaultEqualizer()
+		if err := ApplyOverrides(&g, &e, tc.spec); err != nil {
+			t.Fatalf("ApplyOverrides(%q): %v", tc.spec, err)
+		}
+		if e.DisableFrequency != tc.freq || e.DisableBlocks != tc.blocks {
+			t.Errorf("ApplyOverrides(%q) = %+v, want DisableFrequency=%v DisableBlocks=%v",
+				tc.spec, e, tc.freq, tc.blocks)
+		}
+	}
 }
 
 func TestApplyOverridesEmpty(t *testing.T) {
@@ -40,6 +57,8 @@ func TestApplyOverridesErrors(t *testing.T) {
 		{"epochcycles=100", "multiple of SampleInterval"},     // fails Equalizer validation
 		{"numsms=99999999999999999999", "value out of range"}, // huge literal
 		{"drambanks=16", "unknown override key"},              // rejected, not ignored
+		{"disableblocks=2", "invalid syntax"},                 // ParseBool takes 0/1, not 2
+		{"disablefrequency=1,disableblocks=1", "no actuator"}, // fails Equalizer validation
 	}
 	for _, tc := range cases {
 		g, e := Default(), DefaultEqualizer()
@@ -62,6 +81,9 @@ func FuzzConfigParse(f *testing.F) {
 	f.Add("a=b=c,,")
 	f.Add("numsms=-1")
 	f.Add("numsms=999999999999999999999999")
+	f.Add("disablefrequency=1")
+	f.Add("DisableBlocks=true")
+	f.Add("disablefrequency=1,disableblocks=1")
 	f.Fuzz(func(t *testing.T, spec string) {
 		g, e := Default(), DefaultEqualizer()
 		if err := ApplyOverrides(&g, &e, spec); err != nil {

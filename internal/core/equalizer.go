@@ -248,11 +248,6 @@ type Equalizer struct {
 	mode Mode
 	cfg  config.Equalizer
 
-	// DisableFrequency suppresses VF requests (used by the Figure 11a
-	// study, which isolates the thread-block control).
-	DisableFrequency bool
-	// DisableBlocks suppresses concurrency changes.
-	DisableBlocks bool
 	// Record enables per-epoch trace collection on every SM.
 	Record bool
 
@@ -352,7 +347,7 @@ func (e *Equalizer) decideEpoch(m *gpu.Machine, nowPS int64) {
 		bus.Emit(nowPS, telemetry.KindEpochDecision, int16(i),
 			int64(d.Tendency), int64(d.BlockDelta))
 		e.votes[i] = VoteFor(d.Tendency, e.mode)
-		if !e.DisableBlocks {
+		if !e.cfg.DisableBlocks {
 			e.applyBlockDecision(m, i, a, d.BlockDelta)
 		}
 		if e.Record {
@@ -369,7 +364,7 @@ func (e *Equalizer) decideEpoch(m *gpu.Machine, nowPS int64) {
 	}
 
 	smStep, memStep := Majority(e.votes)
-	if !e.DisableFrequency {
+	if !e.cfg.DisableFrequency {
 		if smStep != 0 {
 			m.RequestSMLevel(Clamp(m.SMLevel().Step(smStep), e.mode))
 		}

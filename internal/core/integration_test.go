@@ -152,9 +152,16 @@ func TestHysteresisDelaysBlockChanges(t *testing.T) {
 	t.Fatal("blocks never changed for a thrashing kernel")
 }
 
+// blocksOnly is the Figure 11 controller: performance mode with VF
+// control off.
+func blocksOnly() *Equalizer {
+	cfg := config.DefaultEqualizer()
+	cfg.DisableFrequency = true
+	return NewWithConfig(PerformanceMode, cfg)
+}
+
 func TestDisableFrequencyIsolatesBlockControl(t *testing.T) {
-	eq := New(PerformanceMode)
-	eq.DisableFrequency = true
+	eq := blocksOnly()
 	res := run(t, eq, "kmn", 90)
 	if res.Residency.SM[config.VFHigh] != 0 || res.Residency.Mem[config.VFHigh] != 0 ||
 		res.Residency.SM[config.VFLow] != 0 || res.Residency.Mem[config.VFLow] != 0 {
@@ -167,8 +174,9 @@ func TestDisableFrequencyIsolatesBlockControl(t *testing.T) {
 }
 
 func TestDisableBlocksIsolatesFrequencyControl(t *testing.T) {
-	eq := New(PerformanceMode)
-	eq.DisableBlocks = true
+	cfg := config.DefaultEqualizer()
+	cfg.DisableBlocks = true
+	eq := NewWithConfig(PerformanceMode, cfg)
 	m := machine(t, eq)
 	k := kernel(t, "kmn", 90)
 	if _, err := m.RunKernel(k, 0); err != nil {
@@ -183,8 +191,7 @@ func TestAdaptsAcrossInvocations(t *testing.T) {
 	// bfs-2's mid invocations are cache-bound; Equalizer must beat the
 	// static-maximum baseline over the full launch sequence.
 	k := kernel(t, "bfs-2", 0)
-	eq := New(PerformanceMode)
-	eq.DisableFrequency = true
+	eq := blocksOnly()
 	eqM := machine(t, eq)
 	baseM := machine(t, nil)
 	var eqTotal, baseTotal int64
@@ -208,9 +215,8 @@ func TestAdaptsAcrossInvocations(t *testing.T) {
 func TestIntraInvocationAdaptation(t *testing.T) {
 	// spmv: blocks must first fall (cache phase) then recover (latency
 	// phase) — the Figure 11b behaviour.
-	eq := New(PerformanceMode)
+	eq := blocksOnly()
 	eq.Record = true
-	eq.DisableFrequency = true
 	m := machine(t, eq)
 	k := kernel(t, "spmv", 0)
 	if _, err := m.RunKernel(k, 0); err != nil {

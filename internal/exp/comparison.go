@@ -101,8 +101,9 @@ func (h *Harness) Figure11a() (Fig11aData, error) {
 	if err != nil {
 		return Fig11aData{}, err
 	}
-	blocksOnly := EqualizerSetup(core.PerformanceMode)
-	blocksOnly.DisableFrequency = true
+	cfg := config.DefaultEqualizer()
+	cfg.DisableFrequency = true
+	blocksOnly := EqualizerSetup(core.PerformanceMode).WithEqualizer(cfg)
 	h.Prefetch([]RunRequest{
 		{Kernel: k, Setup: StaticBlocks(1)},
 		{Kernel: k, Setup: StaticBlocks(2)},
@@ -154,15 +155,16 @@ type Fig11bData struct {
 }
 
 // Figure11b traces spmv's first invocation under both controllers. It
-// reads two cells: Equalizer with frequency control off, as in Figure 11a,
-// and DynCTA.
+// reads two cells: Equalizer with frequency control off, as in Figure 11a
+// and `eqsim -policy equalizer-perf -set disablefrequency=1`, and DynCTA.
 func (h *Harness) Figure11b() (Fig11bData, error) {
 	k, err := kernels.ByName("spmv")
 	if err != nil {
 		return Fig11bData{}, err
 	}
-	blocksOnly := EqualizerSetup(core.PerformanceMode)
-	blocksOnly.DisableFrequency = true
+	cfg := config.DefaultEqualizer()
+	cfg.DisableFrequency = true
+	blocksOnly := EqualizerSetup(core.PerformanceMode).WithEqualizer(cfg)
 	dynCTA := Setup{Policy: "dynCTA", SM: config.VFNormal, Mem: config.VFNormal}
 	h.Prefetch([]RunRequest{{Kernel: k, Setup: blocksOnly}, {Kernel: k, Setup: dynCTA}})
 	eq, err := h.Run(k, blocksOnly)

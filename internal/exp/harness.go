@@ -309,12 +309,10 @@ type Setup struct {
 	SM, Mem config.VFLevel
 	// Blocks pins the per-SM block target when > 0 (with Policy "blocks").
 	Blocks int
-	// DisableFrequency turns off Equalizer's VF control (Figure 11a).
-	DisableFrequency bool
-	// Equalizer holds the runtime parameters of the equalizer-* policies
-	// and is zero for every other policy, so a baseline cell keys the same
-	// whatever parameters its caller parsed. It stays out of the JSON that
-	// eqsimd serves; cacheKeyFor hashes it explicitly.
+	// Equalizer holds the runtime parameters and actuator switches of the
+	// equalizer-* policies and is zero for every other policy, so a baseline
+	// cell keys the same whatever parameters its caller parsed. It stays out
+	// of the JSON that eqsimd serves; cacheKeyFor hashes it explicitly.
 	Equalizer config.Equalizer `json:"-"`
 }
 
@@ -445,7 +443,6 @@ func NewPolicy(s Setup) gpu.Policy {
 			mode = core.EnergyMode
 		}
 		e := core.NewWithConfig(mode, s.Equalizer)
-		e.DisableFrequency = s.DisableFrequency
 		e.Record = true
 		return e
 	case "dynCTA":

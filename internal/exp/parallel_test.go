@@ -166,9 +166,19 @@ func TestCacheKeySchemaVersion(t *testing.T) {
 	if cacheKeyFor(1, g, p, 1.0, "cutcp", perf) == cacheKeyFor(1, g, p, 1.0, "cutcp", perf.WithEqualizer(short)) {
 		t.Error("Equalizer parameters not part of the cache key")
 	}
+	for _, set := range []string{"disablefrequency=1", "disableblocks=1"} {
+		gpuCfg, eq := config.Default(), config.DefaultEqualizer()
+		if err := config.ApplyOverrides(&gpuCfg, &eq, set); err != nil {
+			t.Fatal(err)
+		}
+		if cacheKeyFor(1, g, p, 1.0, "cutcp", perf) == cacheKeyFor(1, g, p, 1.0, "cutcp", perf.WithEqualizer(eq)) {
+			t.Errorf("-set %s not part of the Equalizer cell's key", set)
+		}
+	}
 	// eqsim hands every parsed setup the Equalizer parameters of its -set
 	// overrides; a baseline cell must key the same whatever they are.
-	for _, set := range []string{"", "epochcycles=2048", "hysteresis=1,sampleinterval=64,memsaturationwarps=4"} {
+	for _, set := range []string{"", "epochcycles=2048", "hysteresis=1,sampleinterval=64,memsaturationwarps=4",
+		"disablefrequency=1", "disableblocks=1"} {
 		gpuCfg, eq := config.Default(), config.DefaultEqualizer()
 		if err := config.ApplyOverrides(&gpuCfg, &eq, set); err != nil {
 			t.Fatal(err)
@@ -423,10 +433,33 @@ func TestKeyedFiguresRunThroughTheCache(t *testing.T) {
 		t.Errorf("figure data from the disk cache differs:\ncold %+v\nwarm %+v", cold, warm)
 	}
 
+	// Figure 11b's Equalizer cell is the one eqsim runs for
+	// `-policy equalizer-perf -set disablefrequency=1`: a fresh harness
+	// finds it on disk.
 	k, err := kernels.ByName("spmv")
 	if err != nil {
 		t.Fatal(err)
 	}
+	gpuCfg, eq := config.Default(), config.DefaultEqualizer()
+	if err := config.ApplyOverrides(&gpuCfg, &eq, "disablefrequency=1"); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParseSetup("equalizer-perf", "", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h3 := New(Options{GridScale: keyedScale, Cache: cache})
+	cli, err := h3.Run(k, parsed.WithEqualizer(eq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := h3.SchedulerStats(); st.Simulated != 0 || st.CacheHits != 1 {
+		t.Errorf("-set disablefrequency=1 cell: %+v, want 0 simulated and 1 cache hit", st)
+	}
+	if !reflect.DeepEqual(cli.Trace[0], warm.fig11b.Equalizer) {
+		t.Error("-set disablefrequency=1 cell's trace differs from Figure 11b's")
+	}
+
 	tot, err := h2.Run(k, EqualizerSetup(core.PerformanceMode))
 	if err != nil {
 		t.Fatal(err)

@@ -95,10 +95,13 @@ func TestNewPolicy(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Error("NewPolicy ignored the Equalizer config or did not record")
 	}
-	s := EqualizerSetup(core.PerformanceMode)
-	s.DisableFrequency = true
-	if e := NewPolicy(s).(*core.Equalizer); !e.DisableFrequency {
-		t.Error("NewPolicy dropped DisableFrequency")
+	custom = config.DefaultEqualizer()
+	custom.DisableFrequency = true
+	got = NewPolicy(EqualizerSetup(core.PerformanceMode).WithEqualizer(custom))
+	want = core.NewWithConfig(core.PerformanceMode, custom)
+	want.Record = true
+	if !reflect.DeepEqual(got, want) {
+		t.Error("NewPolicy dropped the actuator switches")
 	}
 }
 

@@ -68,10 +68,31 @@ func TestRunMatchesDirectByteIdentical(t *testing.T) {
 	if resp.Header.Get("X-Request-ID") == "" {
 		t.Error("missing X-Request-ID header")
 	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rr RunResponse
-	decodeBody(t, resp, &rr)
+	if err := json.Unmarshal(body, &rr); err != nil {
+		t.Fatal(err)
+	}
 	if rr.Source != string(exp.SourceSim) {
 		t.Errorf("source = %q, want sim", rr.Source)
+	}
+	// The setup object on the wire names the cell's policy and levels; the
+	// Equalizer parameters, actuator switches included, stay off it.
+	var raw struct {
+		Setup map[string]json.RawMessage `json:"setup"`
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"Policy", "SM", "Mem", "Blocks"} {
+		if _, ok := raw.Setup[key]; !ok || len(raw.Setup) != 4 {
+			t.Errorf("setup keys = %v, want exactly Policy, SM, Mem and Blocks", raw.Setup)
+			break
+		}
 	}
 
 	// Direct run on an independent harness at the same scale.
