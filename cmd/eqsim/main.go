@@ -28,7 +28,8 @@
 // included (the actuator switches too), is instant. -no-cache runs without
 // the disk cache. -v, -metrics and -trace force a live simulation: they need
 // per-invocation results or machine state the cache does not hold. -json
-// emits the result as {kernel, policy, totals} for scripting.
+// emits the result as {kernel, policy, totals} for scripting, with a set
+// key holding the -set spec when one was given; the text line ends with it.
 package main
 
 import (
@@ -62,8 +63,10 @@ const traceEvents = 1 << 19
 // payload eqsimd serves, so `eqsim -json | jq .totals` byte-compares against
 // the service response.
 type jsonResult struct {
-	Kernel string     `json:"kernel"`
-	Policy string     `json:"policy"`
+	Kernel string `json:"kernel"`
+	Policy string `json:"policy"`
+	// Set is the -set spec, which the policy label does not show.
+	Set    string     `json:"set,omitempty"`
 	Totals exp.Totals `json:"totals"`
 }
 
@@ -257,10 +260,14 @@ func run(opts options, stdout io.Writer) error {
 	if opts.asJSON {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(jsonResult{Kernel: k.Name, Policy: name, Totals: tot})
+		return enc.Encode(jsonResult{Kernel: k.Name, Policy: name, Set: opts.set, Totals: tot})
 	}
-	fmt.Fprintf(stdout, "kernel %-8s policy %-24s time %10.3f ms  energy %9.4f J  mean power %6.1f W\n",
+	fmt.Fprintf(stdout, "kernel %-8s policy %-24s time %10.3f ms  energy %9.4f J  mean power %6.1f W",
 		k.Name, name, float64(tot.TimePS)/1e9, tot.EnergyJ, tot.EnergyJ/(float64(tot.TimePS)*1e-12))
+	if opts.set != "" {
+		fmt.Fprintf(stdout, "  set %s", opts.set)
+	}
+	fmt.Fprintln(stdout)
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -421,5 +422,38 @@ func TestSetRunsThroughTheCache(t *testing.T) {
 	}
 	if n := cacheEntries(t, dir); n != entries {
 		t.Errorf("live runs touched the cache: %d entries, want %d", n, entries)
+	}
+}
+
+// TestSetNamedInOutput: the policy label does not show -set, so the JSON
+// document carries the spec in "set" and the text line ends with it. Two
+// runs of different cells never print the same label; without -set the
+// output has no "set" at all.
+func TestSetNamedInOutput(t *testing.T) {
+	opts := options{kernel: "mri_g-2", policy: "equalizer-perf", asJSON: true, noCache: true}
+	var docs [2]map[string]interface{}
+	for i, set := range []string{"", "disablefrequency=1"} {
+		opts.set = set
+		out, _ := runCaptured(t, opts)
+		if err := json.Unmarshal([]byte(out), &docs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := docs[0]["set"]; ok {
+		t.Errorf("run without -set printed \"set\": %v", docs[0]["set"])
+	}
+	if docs[1]["set"] != "disablefrequency=1" {
+		t.Errorf("-set disablefrequency=1 printed \"set\": %v", docs[1]["set"])
+	}
+	if reflect.DeepEqual(docs[0]["totals"], docs[1]["totals"]) {
+		t.Error("-set disablefrequency=1 gave the full Equalizer's totals")
+	}
+	opts.asJSON = false
+	if out, _ := runCaptured(t, opts); !strings.HasSuffix(out, " W  set disablefrequency=1\n") {
+		t.Errorf("text line does not end with the -set spec: %q", out)
+	}
+	opts.set = ""
+	if out, _ := runCaptured(t, opts); !strings.HasSuffix(out, " W\n") {
+		t.Errorf("text line without -set: %q", out)
 	}
 }

@@ -36,34 +36,6 @@ func ablationKernels() []kernels.Kernel {
 	return ks
 }
 
-// runAblationPoint reads the ablation set's runs under an Equalizer with
-// the given runtime parameters from the harness and returns geomean speedup
-// / mean energy delta vs the stock baseline.
-func (h *Harness) runAblationPoint(label string, eqCfg config.Equalizer, mode core.Mode) (AblationPoint, error) {
-	var speedups, deltas []float64
-	for _, k := range ablationKernels() {
-		base, err := h.Run(k, Baseline())
-		if err != nil {
-			return AblationPoint{}, err
-		}
-		t, err := h.Run(k, EqualizerSetup(mode).WithEqualizer(eqCfg))
-		if err != nil {
-			return AblationPoint{}, err
-		}
-		speedups = append(speedups, t.Speedup(base))
-		deltas = append(deltas, t.EnergyDelta(base))
-	}
-	speedup, err := metrics.GeomeanErr(speedups)
-	if err != nil {
-		return AblationPoint{}, fmt.Errorf("exp: ablation %s: %w", label, err)
-	}
-	return AblationPoint{
-		Label:       label,
-		Speedup:     speedup,
-		EnergyDelta: metrics.Mean(deltas),
-	}, nil
-}
-
 // ablationSweep is one Equalizer parameter swept over the ablation kernel
 // set: each value is written into a default config by set and labelled
 // "<prefix>=<value>".
@@ -107,32 +79,41 @@ func (s ablationSweep) config(v int) config.Equalizer {
 	return cfg
 }
 
-// ablationGrid declares every run the given sweeps read: each ablation
-// kernel's baseline and its run under every swept value. The sweeps'
-// default-valued points are one configuration and dedupe in Prefetch.
-func ablationGrid(mode core.Mode, sweeps []ablationSweep) []RunRequest {
-	var grid []RunRequest
-	for _, k := range ablationKernels() {
-		grid = append(grid, RunRequest{Kernel: k, Setup: Baseline()})
-		for _, s := range sweeps {
-			for _, v := range s.values {
-				grid = append(grid, RunRequest{Kernel: k, Setup: EqualizerSetup(mode).WithEqualizer(s.config(v))})
-			}
+// ablationPoints runs the sweeps in the given mode over the ablation
+// kernel set, all in one Prefetch, and returns each sweep's points: the
+// geomean speedup and mean energy delta of every value vs the stock
+// baseline. The sweeps' default-valued points are one configuration and
+// dedupe in Prefetch.
+func (h *Harness) ablationPoints(mode core.Mode, sweeps []ablationSweep) ([][]AblationPoint, error) {
+	setups := []Setup{Baseline()}
+	for _, s := range sweeps {
+		for _, v := range s.values {
+			setups = append(setups, EqualizerSetup(mode).WithEqualizer(s.config(v)))
 		}
 	}
-	return grid
-}
-
-// sweep reads one ablation point per value of s under the given mode.
-// Prefetch ablationGrid first to run the points on the worker pool.
-func (h *Harness) sweep(s ablationSweep, mode core.Mode) ([]AblationPoint, error) {
-	var out []AblationPoint
-	for _, v := range s.values {
-		p, err := h.runAblationPoint(fmt.Sprintf("%s=%d", s.prefix, v), s.config(v), mode)
-		if err != nil {
-			return nil, err
+	ks := ablationKernels()
+	t, err := h.Prefetch(kernelGrid(ks, setups...))
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]AblationPoint, len(sweeps))
+	j := 0
+	for si, s := range sweeps {
+		for _, v := range s.values {
+			j++
+			label := fmt.Sprintf("%s=%d", s.prefix, v)
+			var speedups, deltas []float64
+			for i := range ks {
+				base, run := t[i*len(setups)], t[i*len(setups)+j]
+				speedups = append(speedups, run.Speedup(base))
+				deltas = append(deltas, run.EnergyDelta(base))
+			}
+			speedup, err := metrics.GeomeanErr(speedups)
+			if err != nil {
+				return nil, fmt.Errorf("exp: ablation %s: %w", label, err)
+			}
+			out[si] = append(out[si], AblationPoint{Label: label, Speedup: speedup, EnergyDelta: metrics.Mean(deltas)})
 		}
-		out = append(out, p)
 	}
 	return out, nil
 }
@@ -140,16 +121,15 @@ func (h *Harness) sweep(s ablationSweep, mode core.Mode) ([]AblationPoint, error
 // Ablations runs every sweep in performance mode and renders them.
 func (h *Harness) Ablations() (string, error) {
 	sweeps := ablationSweeps()
-	h.Prefetch(ablationGrid(core.PerformanceMode, sweeps))
+	pts, err := h.ablationPoints(core.PerformanceMode, sweeps)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
-	for _, s := range sweeps {
-		pts, err := h.sweep(s, core.PerformanceMode)
-		if err != nil {
-			return "", err
-		}
+	for si, s := range sweeps {
 		fmt.Fprintf(&b, "Ablation: %s (performance mode, %d-kernel subset)\n", s.title, len(ablationKernels()))
 		t := metrics.NewTable("setting", "geomean speedup", "mean energy delta")
-		for _, p := range pts {
+		for _, p := range pts[si] {
 			t.AddRowf(p.Label, p.Speedup, metrics.Pct(p.EnergyDelta))
 		}
 		b.WriteString(t.String())

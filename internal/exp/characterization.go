@@ -74,56 +74,36 @@ type Fig1Blocks struct {
 // Figure1 measures the impact of varying SM frequency, memory frequency and
 // thread-block count on every kernel (paper Figure 1).
 func (h *Harness) Figure1() (Fig1Data, error) {
-	var grid []RunRequest
-	for _, k := range kernels.All() {
-		for _, s := range []Setup{
-			Baseline(),
-			StaticVF(config.VFHigh, config.VFNormal),
-			StaticVF(config.VFLow, config.VFNormal),
-			StaticVF(config.VFNormal, config.VFHigh),
-			StaticVF(config.VFNormal, config.VFLow),
-		} {
-			grid = append(grid, RunRequest{Kernel: k, Setup: s})
-		}
+	ks := kernels.All()
+	t, err := h.Prefetch(kernelGrid(ks,
+		Baseline(),
+		StaticVF(config.VFHigh, config.VFNormal),
+		StaticVF(config.VFLow, config.VFNormal),
+		StaticVF(config.VFNormal, config.VFHigh),
+		StaticVF(config.VFNormal, config.VFLow)))
+	if err != nil {
+		return Fig1Data{}, err
 	}
-	h.Prefetch(grid)
 	var d Fig1Data
-	for _, k := range kernels.All() {
-		base, err := h.Run(k, Baseline())
-		if err != nil {
-			return d, err
-		}
-		point := func(s Setup) (Fig1Point, error) {
-			t, err := h.Run(k, s)
-			if err != nil {
-				return Fig1Point{}, err
-			}
+	for i, k := range ks {
+		base := t[5*i]
+		point := func(c Totals) Fig1Point {
 			return Fig1Point{
 				Kernel:     k.Name,
 				Category:   k.Category,
-				Speedup:    t.Speedup(base),
-				Efficiency: t.Efficiency(base),
-			}, nil
+				Speedup:    c.Speedup(base),
+				Efficiency: c.Efficiency(base),
+			}
 		}
-		p, err := point(StaticVF(config.VFHigh, config.VFNormal))
-		if err != nil {
-			return d, err
-		}
-		d.SMHigh = append(d.SMHigh, p)
-		if p, err = point(StaticVF(config.VFLow, config.VFNormal)); err != nil {
-			return d, err
-		}
-		d.SMLow = append(d.SMLow, p)
-		if p, err = point(StaticVF(config.VFNormal, config.VFHigh)); err != nil {
-			return d, err
-		}
-		d.MemHigh = append(d.MemHigh, p)
-		if p, err = point(StaticVF(config.VFNormal, config.VFLow)); err != nil {
-			return d, err
-		}
-		d.MemLow = append(d.MemLow, p)
+		d.SMHigh = append(d.SMHigh, point(t[5*i+1]))
+		d.SMLow = append(d.SMLow, point(t[5*i+2]))
+		d.MemHigh = append(d.MemHigh, point(t[5*i+3]))
+		d.MemLow = append(d.MemLow, point(t[5*i+4]))
 
-		best, bestT := h.BestStaticBlocks(k)
+		best, bestT, err := h.BestStaticBlocks(k)
+		if err != nil {
+			return Fig1Data{}, err
+		}
 		d.BestBlocks = append(d.BestBlocks, Fig1Blocks{
 			Kernel:   k.Name,
 			Category: k.Category,
@@ -131,12 +111,7 @@ func (h *Harness) Figure1() (Fig1Data, error) {
 			Max:      k.MaxResidentBlocks(h.gpuCfg.MaxWarpsPerSM),
 			Speedup:  bestT.Speedup(base),
 		})
-		d.OptBlocks = append(d.OptBlocks, Fig1Point{
-			Kernel:     k.Name,
-			Category:   k.Category,
-			Speedup:    bestT.Speedup(base),
-			Efficiency: bestT.Efficiency(base),
-		})
+		d.OptBlocks = append(d.OptBlocks, point(bestT))
 	}
 	return d, nil
 }
@@ -185,29 +160,25 @@ func TotalPS(xs []int64) int64 {
 	return s
 }
 
+// fig2aSetups are Figure 2a's cells: bfs-2 under 1, 2 and 3 blocks.
+func fig2aSetups() []Setup { return []Setup{StaticBlocks(1), StaticBlocks(2), StaticBlocks(3)} }
+
 // Figure2a reproduces the bfs-2 inter-invocation study.
 func (h *Harness) Figure2a() (Fig2aData, error) {
 	k, err := kernels.ByName("bfs-2")
 	if err != nil {
 		return Fig2aData{}, err
 	}
-	h.Prefetch([]RunRequest{
-		{Kernel: k, Setup: StaticBlocks(1)},
-		{Kernel: k, Setup: StaticBlocks(2)},
-		{Kernel: k, Setup: StaticBlocks(3)},
-	})
-	var d Fig2aData
-	runs := []struct {
-		blocks int
-		dst    *[]int64
-	}{{1, &d.Blocks1}, {2, &d.Blocks2}, {3, &d.Blocks3}}
-	for _, r := range runs {
-		t, err := h.Run(k, StaticBlocks(r.blocks))
-		if err != nil {
-			return d, err
-		}
-		*r.dst = t.PerInvocationPS
+	t, err := h.Prefetch(kernelGrid([]kernels.Kernel{k}, fig2aSetups()...))
+	if err != nil {
+		return Fig2aData{}, err
 	}
+	return fig2aData(t), nil
+}
+
+// fig2aData builds Figure 2a from the totals of fig2aSetups, in order.
+func fig2aData(t []Totals) Fig2aData {
+	d := Fig2aData{Blocks1: t[0].PerInvocationPS, Blocks2: t[1].PerInvocationPS, Blocks3: t[2].PerInvocationPS}
 	// Opt picks the best configuration per invocation.
 	for inv := range d.Blocks1 {
 		best := d.Blocks1[inv]
@@ -219,7 +190,7 @@ func (h *Harness) Figure2a() (Fig2aData, error) {
 		}
 		d.Opt = append(d.Opt, best)
 	}
-	return d, nil
+	return d
 }
 
 // RenderFigure2a formats the bfs-2 study, normalised to the 3-block total as
@@ -289,21 +260,17 @@ type Fig4Row struct {
 // scale bfs-2's invocation 0 takes 21 µs, against 149 µs for each of its
 // invocations 7-9.
 func (h *Harness) Figure4() ([]Fig4Row, error) {
-	var grid []RunRequest
-	for _, k := range kernels.All() {
-		grid = append(grid, RunRequest{Kernel: k, Setup: Baseline()})
+	ks := kernels.All()
+	t, err := h.Prefetch(kernelGrid(ks, Baseline()))
+	if err != nil {
+		return nil, err
 	}
-	h.Prefetch(grid)
 	var rows []Fig4Row
-	for _, k := range kernels.All() {
-		t, err := h.Run(k, Baseline())
-		if err != nil {
-			return nil, err
-		}
-		w, i, xa, xm := t.Census[0].Distribution()
+	for i, k := range ks {
+		w, is, xa, xm := t[i].Census[0].Distribution()
 		rows = append(rows, Fig4Row{
 			Kernel: k.Name, Category: k.Category,
-			Waiting: w, Issued: i, XALU: xa, XMEM: xm,
+			Waiting: w, Issued: is, XALU: xa, XMEM: xm,
 		})
 	}
 	return rows, nil
@@ -331,27 +298,24 @@ type Fig5Row struct {
 
 // Figure5 sweeps the thread-block count for the memory-intensive kernels.
 func (h *Harness) Figure5() ([]Fig5Row, error) {
+	ks := kernels.ByCategory(kernels.Memory)
 	var grid []RunRequest
-	for _, k := range kernels.ByCategory(kernels.Memory) {
+	for _, k := range ks {
 		for b := 1; b <= k.MaxResidentBlocks(h.gpuCfg.MaxWarpsPerSM); b++ {
 			grid = append(grid, RunRequest{Kernel: k, Setup: StaticBlocks(b)})
 		}
 	}
-	h.Prefetch(grid)
+	t, err := h.Prefetch(grid)
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig5Row
-	for _, k := range kernels.ByCategory(kernels.Memory) {
-		maxBlocks := k.MaxResidentBlocks(h.gpuCfg.MaxWarpsPerSM)
-		one, err := h.Run(k, StaticBlocks(1))
-		if err != nil {
-			return nil, err
-		}
+	for _, k := range ks {
+		sweep := t[:k.MaxResidentBlocks(h.gpuCfg.MaxWarpsPerSM)]
+		t = t[len(sweep):]
 		row := Fig5Row{Kernel: k.Name}
-		for b := 1; b <= maxBlocks; b++ {
-			t, err := h.Run(k, StaticBlocks(b))
-			if err != nil {
-				return nil, err
-			}
-			row.Speedup = append(row.Speedup, t.Speedup(one))
+		for _, tb := range sweep {
+			row.Speedup = append(row.Speedup, tb.Speedup(sweep[0]))
 		}
 		rows = append(rows, row)
 	}

@@ -21,36 +21,14 @@ type Fig10Row struct {
 // Figure10 compares Equalizer's performance mode with DynCTA and CCWS on the
 // cache-sensitive kernel set.
 func (h *Harness) Figure10() ([]Fig10Row, error) {
-	var grid []RunRequest
-	for _, k := range kernels.CacheStudyKernels() {
-		for _, s := range []Setup{
-			Baseline(),
-			{Policy: "dynCTA", SM: config.VFNormal, Mem: config.VFNormal},
-			{Policy: "ccws", SM: config.VFNormal, Mem: config.VFNormal},
-			EqualizerSetup(core.PerformanceMode),
-		} {
-			grid = append(grid, RunRequest{Kernel: k, Setup: s})
-		}
+	ks := kernels.CacheStudyKernels()
+	t, err := h.Prefetch(kernelGrid(ks, Baseline(), DynCTA(), CCWS(), EqualizerSetup(core.PerformanceMode)))
+	if err != nil {
+		return nil, err
 	}
-	h.Prefetch(grid)
 	var rows []Fig10Row
-	for _, k := range kernels.CacheStudyKernels() {
-		base, err := h.Run(k, Baseline())
-		if err != nil {
-			return nil, err
-		}
-		dyn, err := h.Run(k, Setup{Policy: "dynCTA", SM: config.VFNormal, Mem: config.VFNormal})
-		if err != nil {
-			return nil, err
-		}
-		ccws, err := h.Run(k, Setup{Policy: "ccws", SM: config.VFNormal, Mem: config.VFNormal})
-		if err != nil {
-			return nil, err
-		}
-		eq, err := h.Run(k, EqualizerSetup(core.PerformanceMode))
-		if err != nil {
-			return nil, err
-		}
+	for i, k := range ks {
+		base, dyn, ccws, eq := t[4*i], t[4*i+1], t[4*i+2], t[4*i+3]
 		rows = append(rows, Fig10Row{
 			Kernel:      k.Name,
 			DynCTA:      dyn.Speedup(base),
@@ -95,30 +73,27 @@ type Fig11aData struct {
 	Equalizer []int64
 }
 
-// Figure11a reproduces the bfs-2 adaptivity study.
+// blocksOnly is the performance-mode Equalizer with frequency control off,
+// the cell of Figures 11a and 11b and of `eqsim -policy equalizer-perf -set
+// disablefrequency=1`.
+func blocksOnly() Setup {
+	cfg := config.DefaultEqualizer()
+	cfg.DisableFrequency = true
+	return EqualizerSetup(core.PerformanceMode).WithEqualizer(cfg)
+}
+
+// Figure11a reproduces the bfs-2 adaptivity study: Figure 2a's cells plus
+// the blocks-only Equalizer.
 func (h *Harness) Figure11a() (Fig11aData, error) {
 	k, err := kernels.ByName("bfs-2")
 	if err != nil {
 		return Fig11aData{}, err
 	}
-	cfg := config.DefaultEqualizer()
-	cfg.DisableFrequency = true
-	blocksOnly := EqualizerSetup(core.PerformanceMode).WithEqualizer(cfg)
-	h.Prefetch([]RunRequest{
-		{Kernel: k, Setup: StaticBlocks(1)},
-		{Kernel: k, Setup: StaticBlocks(2)},
-		{Kernel: k, Setup: StaticBlocks(3)},
-		{Kernel: k, Setup: blocksOnly},
-	})
-	base, err := h.Figure2a()
+	t, err := h.Prefetch(kernelGrid([]kernels.Kernel{k}, append(fig2aSetups(), blocksOnly())...))
 	if err != nil {
 		return Fig11aData{}, err
 	}
-	eq, err := h.Run(k, blocksOnly)
-	if err != nil {
-		return Fig11aData{}, err
-	}
-	return Fig11aData{Fig2aData: base, Equalizer: eq.PerInvocationPS}, nil
+	return Fig11aData{Fig2aData: fig2aData(t), Equalizer: t[3].PerInvocationPS}, nil
 }
 
 // RenderFigure11a formats the adaptivity study.
@@ -154,28 +129,18 @@ type Fig11bData struct {
 	DynCTA []gpu.EpochPoint
 }
 
-// Figure11b traces spmv's first invocation under both controllers. It
-// reads two cells: Equalizer with frequency control off, as in Figure 11a
-// and `eqsim -policy equalizer-perf -set disablefrequency=1`, and DynCTA.
+// Figure11b traces spmv's first invocation under both controllers: the
+// blocks-only Equalizer of Figure 11a, and DynCTA.
 func (h *Harness) Figure11b() (Fig11bData, error) {
 	k, err := kernels.ByName("spmv")
 	if err != nil {
 		return Fig11bData{}, err
 	}
-	cfg := config.DefaultEqualizer()
-	cfg.DisableFrequency = true
-	blocksOnly := EqualizerSetup(core.PerformanceMode).WithEqualizer(cfg)
-	dynCTA := Setup{Policy: "dynCTA", SM: config.VFNormal, Mem: config.VFNormal}
-	h.Prefetch([]RunRequest{{Kernel: k, Setup: blocksOnly}, {Kernel: k, Setup: dynCTA}})
-	eq, err := h.Run(k, blocksOnly)
+	t, err := h.Prefetch(kernelGrid([]kernels.Kernel{k}, blocksOnly(), DynCTA()))
 	if err != nil {
 		return Fig11bData{}, err
 	}
-	dyn, err := h.Run(k, dynCTA)
-	if err != nil {
-		return Fig11bData{}, err
-	}
-	return Fig11bData{Equalizer: eq.Trace[0], DynCTA: dyn.Census[0].Series}, nil
+	return Fig11bData{Equalizer: t[0].Trace[0], DynCTA: t[1].Census[0].Series}, nil
 }
 
 // RenderFigure11b formats the spmv adaptivity traces.

@@ -20,44 +20,33 @@ type Fig7Row struct {
 	EqualizerEnergy, SMBoostEnergy, MemBoostEnergy float64
 }
 
-// fig7Grid declares every run Figure 7 consumes.
-func fig7Grid() []RunRequest {
-	var grid []RunRequest
-	for _, k := range kernels.All() {
-		for _, s := range []Setup{
-			Baseline(),
-			EqualizerSetup(core.PerformanceMode),
-			StaticVF(config.VFHigh, config.VFNormal),
-			StaticVF(config.VFNormal, config.VFHigh),
-		} {
-			grid = append(grid, RunRequest{Kernel: k, Setup: s})
-		}
+// fig7Setups are Figure 7's cells per kernel: the baseline, Equalizer, and
+// the SM and the memory system statically boosted.
+func fig7Setups() []Setup {
+	return []Setup{
+		Baseline(),
+		EqualizerSetup(core.PerformanceMode),
+		StaticVF(config.VFHigh, config.VFNormal),
+		StaticVF(config.VFNormal, config.VFHigh),
 	}
-	return grid
 }
 
 // Figure7 runs the performance-mode evaluation: Equalizer against statically
 // boosting the SM or the memory system by 15%.
 func (h *Harness) Figure7() ([]Fig7Row, error) {
-	h.Prefetch(fig7Grid())
+	ks := kernels.All()
+	t, err := h.Prefetch(kernelGrid(ks, fig7Setups()...))
+	if err != nil {
+		return nil, err
+	}
+	return fig7Rows(ks, t)
+}
+
+// fig7Rows builds Figure 7 from the totals of kernelGrid(ks, fig7Setups()...).
+func fig7Rows(ks []kernels.Kernel, t []Totals) ([]Fig7Row, error) {
 	var rows []Fig7Row
-	for _, k := range kernels.All() {
-		base, err := h.Run(k, Baseline())
-		if err != nil {
-			return nil, err
-		}
-		eq, err := h.Run(k, EqualizerSetup(core.PerformanceMode))
-		if err != nil {
-			return nil, err
-		}
-		smB, err := h.Run(k, StaticVF(config.VFHigh, config.VFNormal))
-		if err != nil {
-			return nil, err
-		}
-		memB, err := h.Run(k, StaticVF(config.VFNormal, config.VFHigh))
-		if err != nil {
-			return nil, err
-		}
+	for i, k := range ks {
+		base, eq, smB, memB := t[4*i], t[4*i+1], t[4*i+2], t[4*i+3]
 		r := Fig7Row{
 			Kernel:          k.Name,
 			Category:        k.Category,
@@ -173,44 +162,33 @@ type Fig8Row struct {
 	StaticBest float64
 }
 
-// fig8Grid declares every run Figure 8 consumes.
-func fig8Grid() []RunRequest {
-	var grid []RunRequest
-	for _, k := range kernels.All() {
-		for _, s := range []Setup{
-			Baseline(),
-			EqualizerSetup(core.EnergyMode),
-			StaticVF(config.VFLow, config.VFNormal),
-			StaticVF(config.VFNormal, config.VFLow),
-		} {
-			grid = append(grid, RunRequest{Kernel: k, Setup: s})
-		}
+// fig8Setups are Figure 8's cells per kernel: the baseline, Equalizer, and
+// the SM and the memory system statically lowered.
+func fig8Setups() []Setup {
+	return []Setup{
+		Baseline(),
+		EqualizerSetup(core.EnergyMode),
+		StaticVF(config.VFLow, config.VFNormal),
+		StaticVF(config.VFNormal, config.VFLow),
 	}
-	return grid
 }
 
 // Figure8 runs the energy-mode evaluation: Equalizer against statically
 // lowering the SM or memory VF by 15%.
 func (h *Harness) Figure8() ([]Fig8Row, error) {
-	h.Prefetch(fig8Grid())
+	ks := kernels.All()
+	t, err := h.Prefetch(kernelGrid(ks, fig8Setups()...))
+	if err != nil {
+		return nil, err
+	}
+	return fig8Rows(ks, t)
+}
+
+// fig8Rows builds Figure 8 from the totals of kernelGrid(ks, fig8Setups()...).
+func fig8Rows(ks []kernels.Kernel, t []Totals) ([]Fig8Row, error) {
 	var rows []Fig8Row
-	for _, k := range kernels.All() {
-		base, err := h.Run(k, Baseline())
-		if err != nil {
-			return nil, err
-		}
-		eq, err := h.Run(k, EqualizerSetup(core.EnergyMode))
-		if err != nil {
-			return nil, err
-		}
-		smL, err := h.Run(k, StaticVF(config.VFLow, config.VFNormal))
-		if err != nil {
-			return nil, err
-		}
-		memL, err := h.Run(k, StaticVF(config.VFNormal, config.VFLow))
-		if err != nil {
-			return nil, err
-		}
+	for i, k := range ks {
+		base, eq, smL, memL := t[4*i], t[4*i+1], t[4*i+2], t[4*i+3]
 		r := Fig8Row{
 			Kernel:           k.Name,
 			Category:         k.Category,
@@ -334,24 +312,15 @@ type Fig9Row struct {
 // Figure9 measures the distribution of time over the SM and memory frequency
 // states under Equalizer in both modes.
 func (h *Harness) Figure9() ([]Fig9Row, error) {
-	var grid []RunRequest
-	for _, k := range kernels.All() {
-		grid = append(grid,
-			RunRequest{Kernel: k, Setup: EqualizerSetup(core.PerformanceMode)},
-			RunRequest{Kernel: k, Setup: EqualizerSetup(core.EnergyMode)})
+	ks := kernels.All()
+	ts, err := h.Prefetch(kernelGrid(ks, EqualizerSetup(core.PerformanceMode), EqualizerSetup(core.EnergyMode)))
+	if err != nil {
+		return nil, err
 	}
-	h.Prefetch(grid)
 	var rows []Fig9Row
-	for _, k := range kernels.All() {
-		for _, mode := range []string{"P", "E"} {
-			setup := EqualizerSetup(core.PerformanceMode)
-			if mode == "E" {
-				setup = EqualizerSetup(core.EnergyMode)
-			}
-			t, err := h.Run(k, setup)
-			if err != nil {
-				return nil, err
-			}
+	for i, k := range ks {
+		for j, mode := range []string{"P", "E"} {
+			t := ts[2*i+j]
 			total := float64(t.Residency.SM[0] + t.Residency.SM[1] + t.Residency.SM[2])
 			memTotal := float64(t.Residency.Mem[0] + t.Residency.Mem[1] + t.Residency.Mem[2])
 			if total == 0 || memTotal == 0 {
@@ -395,16 +364,21 @@ type Summary struct {
 	EnergyModePerf      float64 // paper: 1.05
 }
 
-// Summarize runs both modes over all kernels and aggregates. The union of
-// both figures' grids is prefetched up front so the worker pool stays
-// saturated across the figure boundary (the shared baselines dedupe).
+// Summarize runs both modes over all kernels and aggregates. Both figures'
+// cells go to Prefetch in one grid, so the worker pool stays saturated
+// across the figure boundary (the shared baselines dedupe).
 func (h *Harness) Summarize() (Summary, error) {
-	h.Prefetch(append(fig7Grid(), fig8Grid()...))
-	f7, err := h.Figure7()
+	ks := kernels.All()
+	g7 := kernelGrid(ks, fig7Setups()...)
+	t, err := h.Prefetch(append(g7, kernelGrid(ks, fig8Setups()...)...))
 	if err != nil {
 		return Summary{}, err
 	}
-	f8, err := h.Figure8()
+	f7, err := fig7Rows(ks, t[:len(g7)])
+	if err != nil {
+		return Summary{}, err
+	}
+	f8, err := fig8Rows(ks, t[len(g7):])
 	if err != nil {
 		return Summary{}, err
 	}

@@ -14,6 +14,16 @@ func smallHarness() *Harness {
 	return New(Options{GridScale: 0.25})
 }
 
+// mustRun is h.Run that fails the test on an error.
+func mustRun(t testing.TB, h *Harness, k kernels.Kernel, s Setup) Totals {
+	t.Helper()
+	tot, err := h.Run(k, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tot
+}
+
 func TestTablesRender(t *testing.T) {
 	h := smallHarness()
 	for name, s := range map[string]string{
@@ -51,8 +61,8 @@ func TestSetupConstructors(t *testing.T) {
 func TestRunMemoisation(t *testing.T) {
 	h := smallHarness()
 	k, _ := kernels.ByName("cutcp")
-	t1 := h.MustRun(k, Baseline())
-	t2 := h.MustRun(k, Baseline())
+	t1 := mustRun(t, h, k, Baseline())
+	t2 := mustRun(t, h, k, Baseline())
 	if t1.TimePS != t2.TimePS {
 		t.Fatal("memoised run differs")
 	}
@@ -64,8 +74,8 @@ func TestRunMemoisation(t *testing.T) {
 func TestStaticVFRunsAtRequestedPoint(t *testing.T) {
 	h := smallHarness()
 	k, _ := kernels.ByName("cutcp")
-	base := h.MustRun(k, Baseline())
-	hi := h.MustRun(k, StaticVF(config.VFHigh, config.VFNormal))
+	base := mustRun(t, h, k, Baseline())
+	hi := mustRun(t, h, k, StaticVF(config.VFHigh, config.VFNormal))
 	if hi.Speedup(base) < 1.05 {
 		t.Fatalf("SM-high speedup = %.3f on a compute kernel", hi.Speedup(base))
 	}
@@ -77,11 +87,14 @@ func TestStaticVFRunsAtRequestedPoint(t *testing.T) {
 func TestBestStaticBlocksFindsCacheOptimum(t *testing.T) {
 	h := smallHarness()
 	k, _ := kernels.ByName("kmn")
-	best, bestT := h.BestStaticBlocks(k)
+	best, bestT, err := h.BestStaticBlocks(k)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if best >= k.MaxResidentBlocks(48) {
 		t.Fatalf("best blocks = %d, want below maximum for a cache kernel", best)
 	}
-	base := h.MustRun(k, Baseline())
+	base := mustRun(t, h, k, Baseline())
 	if bestT.Speedup(base) < 1.2 {
 		t.Fatalf("optimal blocks give only %.2fx", bestT.Speedup(base))
 	}
@@ -207,9 +220,9 @@ func TestSpmvAdaptivityOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := h.MustRun(k, Baseline())
-	dyn := h.MustRun(k, Setup{Policy: "dynCTA", SM: config.VFNormal, Mem: config.VFNormal})
-	eq := h.MustRun(k, EqualizerSetup(core.PerformanceMode))
+	base := mustRun(t, h, k, Baseline())
+	dyn := mustRun(t, h, k, Setup{Policy: "dynCTA", SM: config.VFNormal, Mem: config.VFNormal})
+	eq := mustRun(t, h, k, EqualizerSetup(core.PerformanceMode))
 	if eq.Speedup(base) <= dyn.Speedup(base) {
 		t.Fatalf("spmv: equalizer %.3f must beat dynCTA %.3f (Figure 11b adaptivity)",
 			eq.Speedup(base), dyn.Speedup(base))

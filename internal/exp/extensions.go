@@ -24,30 +24,15 @@ type BoostRow struct {
 // power headroom alone, so it matches Equalizer only on compute kernels and
 // wastes energy everywhere else.
 func (h *Harness) BoostComparison() ([]BoostRow, error) {
-	eqSetup := EqualizerSetup(core.PerformanceMode)
+	ks := kernels.All()
 	boostSetup := Setup{Policy: "boost", SM: config.VFNormal, Mem: config.VFNormal}
-	var grid []RunRequest
-	for _, k := range kernels.All() {
-		grid = append(grid,
-			RunRequest{Kernel: k, Setup: Baseline()},
-			RunRequest{Kernel: k, Setup: eqSetup},
-			RunRequest{Kernel: k, Setup: boostSetup})
+	t, err := h.Prefetch(kernelGrid(ks, Baseline(), EqualizerSetup(core.PerformanceMode), boostSetup))
+	if err != nil {
+		return nil, err
 	}
-	h.Prefetch(grid)
 	var rows []BoostRow
-	for _, k := range kernels.All() {
-		base, err := h.Run(k, Baseline())
-		if err != nil {
-			return nil, err
-		}
-		eq, err := h.Run(k, eqSetup)
-		if err != nil {
-			return nil, err
-		}
-		boost, err := h.Run(k, boostSetup)
-		if err != nil {
-			return nil, err
-		}
+	for i, k := range ks {
+		base, eq, boost := t[3*i], t[3*i+1], t[3*i+2]
 		rows = append(rows, BoostRow{
 			Kernel:          k.Name,
 			Category:        k.Category,

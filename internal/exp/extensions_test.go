@@ -56,15 +56,14 @@ func TestAblationEpochSweep(t *testing.T) {
 	if epoch.prefix != "epoch" {
 		t.Fatalf("first ablation sweep is %q, want epoch", epoch.prefix)
 	}
-	h.Prefetch(ablationGrid(core.PerformanceMode, []ablationSweep{epoch}))
-	pts, err := h.sweep(epoch, core.PerformanceMode)
+	pts, err := h.ablationPoints(core.PerformanceMode, []ablationSweep{epoch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 5 {
-		t.Fatalf("epoch sweep has %d points, want 5", len(pts))
+	if len(pts[0]) != 5 {
+		t.Fatalf("epoch sweep has %d points, want 5", len(pts[0]))
 	}
-	for _, p := range pts {
+	for _, p := range pts[0] {
 		if p.Speedup <= 0.8 {
 			t.Errorf("%s: speedup %.3f collapsed", p.Label, p.Speedup)
 		}
@@ -73,13 +72,13 @@ func TestAblationEpochSweep(t *testing.T) {
 
 func TestAblationPointRunsCustomConfig(t *testing.T) {
 	h := New(Options{GridScale: 0.2})
-	cfg := config.DefaultEqualizer()
-	cfg.EpochCycles = 2048
-	p, err := h.runAblationPoint("epoch=2048", cfg, core.PerformanceMode)
+	epoch := ablationSweeps()[0]
+	epoch.values = []int{2048}
+	pts, err := h.ablationPoints(core.PerformanceMode, []ablationSweep{epoch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Label != "epoch=2048" || p.Speedup <= 0 {
+	if p := pts[0][0]; p.Label != "epoch=2048" || p.Speedup <= 0 {
 		t.Fatalf("bad ablation point %+v", p)
 	}
 }
@@ -101,16 +100,11 @@ func TestAblationSweepsRunThroughTheCache(t *testing.T) {
 		}
 	}
 	n := len(ablationKernels())
-	run := func() ([]AblationPoint, SchedulerStats) {
+	run := func() ([][]AblationPoint, SchedulerStats) {
 		h := New(Options{GridScale: 0.05, Cache: cache})
-		h.Prefetch(ablationGrid(core.PerformanceMode, sweeps))
-		var pts []AblationPoint
-		for _, s := range sweeps {
-			p, err := h.sweep(s, core.PerformanceMode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pts = append(pts, p...)
+		pts, err := h.ablationPoints(core.PerformanceMode, sweeps)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return pts, h.SchedulerStats()
 	}

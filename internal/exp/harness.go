@@ -39,8 +39,8 @@ type Options struct {
 	// Parallelism bounds the number of simulations in flight at once:
 	// 0 means GOMAXPROCS, 1 runs one simulation at a time. Every
 	// parallelism produces byte-identical figure renderings — each run
-	// owns its gpu.Machine, and figures aggregate results in declaration
-	// order from the memo, never in completion order.
+	// owns its gpu.Machine, and figures aggregate the totals Prefetch
+	// returns in grid order, never in completion order.
 	Parallelism int
 	// Cache is the persistent on-disk result store; nil disables disk
 	// caching (in-process memoisation always applies).
@@ -322,6 +322,12 @@ func Baseline() Setup { return Setup{Policy: "baseline", SM: config.VFNormal, Me
 // StaticVF is the baseline at a fixed VF operating point.
 func StaticVF(sm, mem config.VFLevel) Setup { return Setup{Policy: "baseline", SM: sm, Mem: mem} }
 
+// DynCTA is the DynCTA concurrency controller at nominal levels.
+func DynCTA() Setup { return Setup{Policy: "dynCTA", SM: config.VFNormal, Mem: config.VFNormal} }
+
+// CCWS is the cache-conscious warp scheduler at nominal levels.
+func CCWS() Setup { return Setup{Policy: "ccws", SM: config.VFNormal, Mem: config.VFNormal} }
+
 // StaticBlocks pins the block count at nominal frequency.
 func StaticBlocks(n int) Setup {
 	return Setup{Policy: "blocks", SM: config.VFNormal, Mem: config.VFNormal, Blocks: n}
@@ -418,9 +424,9 @@ func ParseSetup(policy, sm, mem string, blocks int) (Setup, error) {
 		}
 		return StaticVF(lv[0], lv[1]), nil
 	case "dyncta":
-		return Setup{Policy: "dynCTA", SM: config.VFNormal, Mem: config.VFNormal}, nil
+		return DynCTA(), nil
 	case "ccws":
-		return Setup{Policy: "ccws", SM: config.VFNormal, Mem: config.VFNormal}, nil
+		return CCWS(), nil
 	case "equalizer-energy":
 		return EqualizerSetup(core.EnergyMode), nil
 	case "equalizer-perf", "equalizer-performance":
@@ -655,48 +661,64 @@ func (h *Harness) simulate(ctx context.Context, k kernels.Kernel, s Setup) (t To
 	return Simulate(ctx, m, h.scaled(k), nil)
 }
 
-// MustRun is Run but panics on error; experiment code treats simulator
-// failures as fatal.
-func (h *Harness) MustRun(k kernels.Kernel, s Setup) Totals {
-	t, err := h.Run(k, s)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // RunRequest names one cell of an experiment's run grid.
 type RunRequest struct {
 	Kernel kernels.Kernel
 	Setup  Setup
 }
 
-// Prefetch executes a run grid on the worker pool and blocks until every
-// result is memoised. Figures declare their full grid up front so the pool
+// kernelGrid lists every kernel under every setup, kernel by kernel: ks[i]
+// under setups[j] is cell i*len(setups)+j of the grid, and of the totals
+// Prefetch returns for it.
+func kernelGrid(ks []kernels.Kernel, setups ...Setup) []RunRequest {
+	grid := make([]RunRequest, 0, len(ks)*len(setups))
+	for _, k := range ks {
+		for _, s := range setups {
+			grid = append(grid, RunRequest{Kernel: k, Setup: s})
+		}
+	}
+	return grid
+}
+
+// Prefetch runs a grid on the worker pool and returns one Totals per cell,
+// in grid order. Figures name their whole grid in one call so the pool
 // stays saturated instead of discovering runs one sequential Run at a time.
-// Duplicate requests and runs shared with earlier grids dedupe through the
-// singleflight memo. Errors are not reported here: the figure's sequential
-// aggregation path re-requests each run (a memo hit) and surfaces the error
-// exactly where the sequential harness would have.
-func (h *Harness) Prefetch(grid []RunRequest) {
+// Each distinct cell runs once, through the singleflight memo; a duplicate
+// gets the result of the first cell with its key. The error is the first
+// in grid order, so it does not depend on which run finished first.
+func (h *Harness) Prefetch(grid []RunRequest) ([]Totals, error) {
+	out := make([]Totals, len(grid))
+	errs := make([]error, len(grid))
+	first := make(map[runKey]int, len(grid))
 	var wg sync.WaitGroup
-	seen := make(map[runKey]bool, len(grid))
-	for _, r := range grid {
+	for i, r := range grid {
 		key := runKey{kernel: r.Kernel.Name, setup: r.Setup}
-		if seen[key] {
+		if _, ok := first[key]; ok {
 			continue
 		}
-		seen[key] = true
+		first[key] = i
 		wg.Add(1)
-		//eqlint:allow nodeterminism -- prefetch workers only warm the keyed run cache; figure output is read sequentially
-		go func(r RunRequest) {
+		//eqlint:allow nodeterminism -- each worker writes only its own cell's slot; results are read in grid order
+		go func(i int, r RunRequest) {
 			defer wg.Done()
-			h.pool.Do(context.Background(), func() { //nolint:errcheck // background ctx cannot fail; run errors surface on the sequential path
-				h.Run(r.Kernel, r.Setup) //nolint:errcheck // surfaced on the sequential path
-			})
-		}(r)
+			var err error
+			if perr := h.pool.Do(context.Background(), func() {
+				out[i], err = h.Run(r.Kernel, r.Setup)
+			}); perr != nil {
+				err = perr
+			}
+			errs[i] = err
+		}(i, r)
 	}
 	wg.Wait()
+	for i, r := range grid {
+		j := first[runKey{kernel: r.Kernel.Name, setup: r.Setup}]
+		if errs[j] != nil {
+			return nil, errs[j]
+		}
+		out[i] = out[j]
+	}
+	return out, nil
 }
 
 // sweepTail is the number of consecutive worsening block counts after which
@@ -707,11 +729,11 @@ func (h *Harness) Prefetch(grid []RunRequest) {
 const sweepTail = 3
 
 // BestStaticBlocks sweeps the block count and returns the best-performing
-// count and its totals. Candidates are prefetched through the worker pool in
-// chunks of the pool width; the selection itself scans results in ascending
-// block order, so the outcome is identical at every parallelism. The sweep
+// count and its totals. Candidates run through Prefetch in chunks of the
+// pool width; the selection itself scans results in ascending block order,
+// so the outcome is identical at every parallelism. The sweep
 // short-circuits on a monotone worsening tail.
-func (h *Harness) BestStaticBlocks(k kernels.Kernel) (int, Totals) {
+func (h *Harness) BestStaticBlocks(k kernels.Kernel) (int, Totals, error) {
 	maxBlocks := k.MaxResidentBlocks(h.gpuCfg.MaxWarpsPerSM)
 	best, bestT := 0, Totals{}
 	var prev Totals
@@ -725,9 +747,12 @@ func (h *Harness) BestStaticBlocks(k kernels.Kernel) (int, Totals) {
 		for b := lo; b <= hi; b++ {
 			grid = append(grid, RunRequest{Kernel: k, Setup: StaticBlocks(b)})
 		}
-		h.Prefetch(grid)
-		for b := lo; b <= hi; b++ {
-			t := h.MustRun(k, StaticBlocks(b))
+		ts, err := h.Prefetch(grid)
+		if err != nil {
+			return 0, Totals{}, err
+		}
+		for i, t := range ts {
+			b := lo + i
 			if best == 0 || t.TimePS < bestT.TimePS {
 				best, bestT = b, t
 				worse = 0
@@ -741,9 +766,9 @@ func (h *Harness) BestStaticBlocks(k kernels.Kernel) (int, Totals) {
 				h.sweepCutoffs.Inc()
 				h.logf("exp: %s block sweep cut off at %d/%d blocks (monotone tail, best=%d)",
 					k.Name, b, maxBlocks, best)
-				return best, bestT
+				return best, bestT, nil
 			}
 		}
 	}
-	return best, bestT
+	return best, bestT, nil
 }

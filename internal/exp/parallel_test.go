@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"equalizer/internal/config"
@@ -111,7 +112,7 @@ func TestPrefetchRaceSmoke(t *testing.T) {
 	h.Prefetch(append(append([]RunRequest{}, grid...), grid...))
 	want := make([]Totals, len(grid))
 	for i, r := range grid {
-		want[i] = h.MustRun(r.Kernel, r.Setup)
+		want[i] = mustRun(t, h, r.Kernel, r.Setup)
 	}
 	st := h.SchedulerStats()
 	if st.Simulated != uint64(len(grid)) {
@@ -129,7 +130,7 @@ func TestPrefetchRaceSmoke(t *testing.T) {
 	h2 := New(Options{GridScale: 0.05, Parallelism: 8, Cache: cache})
 	h2.Prefetch(grid)
 	for i, r := range grid {
-		if got := h2.MustRun(r.Kernel, r.Setup); got.TimePS != want[i].TimePS || got.EnergyJ != want[i].EnergyJ {
+		if got := mustRun(t, h2, r.Kernel, r.Setup); got.TimePS != want[i].TimePS || got.EnergyJ != want[i].EnergyJ {
 			t.Errorf("warm result %d differs from cold", i)
 		}
 	}
@@ -243,7 +244,7 @@ func TestCorruptCacheEntryFallsBackToSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := New(Options{GridScale: 0.1, Parallelism: 2, Cache: cache})
-	want := h.MustRun(k, Baseline())
+	want := mustRun(t, h, k, Baseline())
 
 	// Corrupt the stored entry, then rerun with a fresh harness.
 	if err := os.WriteFile(cache.Path(h.cacheKey(k.Name, Baseline())), []byte("{oops"), 0o644); err != nil {
@@ -266,7 +267,7 @@ func TestCorruptCacheEntryFallsBackToSimulate(t *testing.T) {
 	}
 	// The healed entry serves the next harness from disk.
 	h3 := New(Options{GridScale: 0.1, Parallelism: 2, Cache: cache})
-	h3.MustRun(k, Baseline())
+	mustRun(t, h3, k, Baseline())
 	if st := h3.SchedulerStats(); st.CacheHits != 1 || st.Simulated != 0 {
 		t.Errorf("healed entry not served from disk: %+v", st)
 	}
@@ -281,7 +282,7 @@ func TestUnwritableCacheServesUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := New(Options{GridScale: 0.1, Parallelism: 2}).MustRun(k, Baseline())
+	want := mustRun(t, New(Options{GridScale: 0.1, Parallelism: 2}), k, Baseline())
 
 	dir := filepath.Join(t.TempDir(), "cache")
 	cache, err := runcache.Open(dir)
@@ -322,7 +323,7 @@ func TestMultiInvocationAggregatesWeighted(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := New(Options{GridScale: 0.1, Parallelism: 1})
-	got := h.MustRun(k, Baseline())
+	got := mustRun(t, h, k, Baseline())
 
 	// Recompute the expected aggregates from a fresh machine.
 	kk := h.scaled(k)
@@ -357,6 +358,62 @@ func TestMultiInvocationAggregatesWeighted(t *testing.T) {
 	}
 }
 
+// TestPrefetchReturnsGridTotals: Prefetch returns one Totals per grid cell
+// in grid order, duplicates included, equal to Run on a fresh harness; its
+// error is the first failing cell's in grid order, whichever failed first;
+// and the figures built on it return a failing simulator's error instead of
+// panicking.
+func TestPrefetchReturnsGridTotals(t *testing.T) {
+	k, err := kernels.ByName("cutcp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := []RunRequest{
+		{Kernel: k, Setup: Baseline()},
+		{Kernel: k, Setup: StaticVF(config.VFHigh, config.VFNormal)},
+		{Kernel: k, Setup: Baseline()},
+		{Kernel: k, Setup: StaticBlocks(1)},
+		{Kernel: k, Setup: StaticVF(config.VFHigh, config.VFNormal)},
+	}
+	got, err := New(Options{GridScale: 0.05, Parallelism: 4}).Prefetch(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(grid) {
+		t.Fatalf("Prefetch returned %d totals for %d cells", len(got), len(grid))
+	}
+	fresh := New(Options{GridScale: 0.05, Parallelism: 4})
+	for i, r := range grid {
+		if want := mustRun(t, fresh, r.Kernel, r.Setup); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("cell %d (%s): Prefetch totals differ from Run", i, r.Setup.Policy)
+		}
+	}
+
+	bad := []RunRequest{
+		{Kernel: k, Setup: Baseline()},
+		{Kernel: k, Setup: StaticBlocks(1)},
+		{Kernel: k, Setup: Setup{Policy: "bogus-a"}},
+		{Kernel: k, Setup: Baseline()},
+		{Kernel: k, Setup: Setup{Policy: "bogus-b"}},
+	}
+	tot, err := New(Options{GridScale: 0.05, Parallelism: 4}).Prefetch(bad)
+	if err == nil || !strings.Contains(err.Error(), "bogus-a") || strings.Contains(err.Error(), "bogus-b") {
+		t.Errorf("Prefetch error = %v, want cell 2's (bogus-a)", err)
+	}
+	if tot != nil {
+		t.Errorf("Prefetch returned %d totals with its error, want none", len(tot))
+	}
+
+	h := New(Options{GridScale: 0.05, Parallelism: 4})
+	h.simFault = func() error { return fmt.Errorf("injected simulator fault") }
+	if _, err := h.Figure1(); err == nil || !strings.Contains(err.Error(), "injected simulator fault") {
+		t.Errorf("Figure1 error = %v, want the injected fault", err)
+	}
+	if _, _, err := h.BestStaticBlocks(k); err == nil || !strings.Contains(err.Error(), "injected simulator fault") {
+		t.Errorf("BestStaticBlocks error = %v, want the injected fault", err)
+	}
+}
+
 // TestBestStaticBlocksCutoffDeterministic: the monotone-tail short-circuit
 // must pick the same block count at every parallelism.
 func TestBestStaticBlocksCutoffDeterministic(t *testing.T) {
@@ -377,7 +434,10 @@ func TestBestStaticBlocksCutoffDeterministic(t *testing.T) {
 	var results []outcome
 	for _, par := range []int{1, 4} {
 		h := New(Options{GridScale: 0.1, Parallelism: par})
-		best, tot := h.BestStaticBlocks(k)
+		best, tot, err := h.BestStaticBlocks(k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		results = append(results, outcome{best, tot.TimePS})
 	}
 	if results[0] != results[1] {

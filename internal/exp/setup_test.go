@@ -165,7 +165,7 @@ func TestDegenerateCacheEntryResimulated(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := New(Options{GridScale: 0.05, Cache: cache})
-			want := h.MustRun(k, Baseline())
+			want := mustRun(t, h, k, Baseline())
 			path := cache.Path(h.cacheKey(k.Name, Baseline()))
 			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 				t.Fatal(err)

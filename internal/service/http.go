@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -151,13 +152,25 @@ func (s *Service) admitRequest(w http.ResponseWriter, tr *activeTrace, n int) (i
 	return 0, nil, true
 }
 
+// decodeSpec decodes a /v1/run or /v1/sweep body into v. A field v does
+// not have is an error that names it, so a request is never silently
+// served a different cell than the one it asked for.
+func decodeSpec(r io.Reader, v interface{}) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decode request: %w", err)
+	}
+	return nil
+}
+
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request, tr *activeTrace) (int, error) {
 	if r.Method != http.MethodPost {
 		return s.writeError(w, tr, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 	}
 	var spec RunSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		return s.writeError(w, tr, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := decodeSpec(r.Body, &spec); err != nil {
+		return s.writeError(w, tr, http.StatusBadRequest, err)
 	}
 	c, err := spec.resolve()
 	if err != nil {
@@ -194,8 +207,8 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request, tr *active
 		return s.writeError(w, tr, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 	}
 	var spec SweepSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		return s.writeError(w, tr, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := decodeSpec(r.Body, &spec); err != nil {
+		return s.writeError(w, tr, http.StatusBadRequest, err)
 	}
 	// A sweep larger than the whole queue can never be admitted, so it gets
 	// 413 (retrying is pointless), decided before the cross product is

@@ -571,6 +571,30 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestUnknownFieldsRejected: a body with a field the spec does not have
+// gets a 400 that names the field. Before, the Equalizer override below was
+// ignored and the request answered with the full Equalizer's totals.
+func TestUnknownFieldsRejected(t *testing.T) {
+	s, srv := newTestService(t, Config{})
+	for path, body := range map[string]string{
+		"/v1/run":   `{"kernel":"mri_g-2","policy":"equalizer-perf","set":"disablefrequency=1"}`,
+		"/v1/sweep": `{"kernels":["mri_g-2"],"setups":[{"policy":"equalizer-perf","set":"disablefrequency=1"}]}`,
+	} {
+		resp := postJSON(t, srv.URL+path, json.RawMessage(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", path, resp.StatusCode)
+		}
+		var er ErrorResponse
+		decodeBody(t, resp, &er)
+		if !strings.Contains(er.Error, `unknown field "set"`) {
+			t.Errorf("%s: error %q does not name the unknown field", path, er.Error)
+		}
+	}
+	if st := s.Stats(); st.Runs != 0 {
+		t.Errorf("rejected requests ran %d cells, want 0", st.Runs)
+	}
+}
+
 // TestTraceRingWraps: the ring retains only the newest entries.
 func TestTraceRingWraps(t *testing.T) {
 	r := newTraceRing(4)
