@@ -10,9 +10,8 @@
 //
 // Experiments: table1 table2 table3 fig1 fig2a fig2b fig4 fig5 fig7 fig8
 // fig9 fig10 fig11a fig11b summary all, plus the extension studies
-// `ablation` (runtime-parameter sweeps), `boost` (GPU-Boost-style
-// power-headroom baseline) and `concurrent` (multi-kernel partitioning),
-// which are not part of `all`.
+// `ablation` (runtime-parameter sweeps) and `boost` (GPU-Boost-style
+// power-headroom baseline), which are not part of `all`.
 //
 // Runs execute on a worker pool (-parallel, default GOMAXPROCS) and results
 // persist in a disk cache (-cache-dir, default .eqcache; -no-cache disables
@@ -145,7 +144,7 @@ func newHarness(scale float64, parallel int, cacheDir string, noCache bool) (*ex
 		},
 	}
 	if !noCache {
-		cache, err := runcache.Open(cacheDir)
+		cache, err := runcache.Open(exp.CacheDir(cacheDir))
 		if err != nil {
 			return nil, err
 		}
@@ -281,9 +280,6 @@ func run(h *exp.Harness, name string) (text, doc string, err error) {
 		return exp.RenderSummary(s), "", nil
 	case "ablation":
 		out, err := h.Ablations()
-		return out, "", err
-	case "concurrent":
-		out, err := h.ConcurrentStudy()
 		return out, "", err
 	case "boost":
 		rows, err := h.BoostComparison()

@@ -184,7 +184,7 @@ func run(opts options, stdout io.Writer) error {
 	if !opts.verbose && opts.metrics == "" && trace == nil {
 		var cache *runcache.Cache
 		if !opts.noCache {
-			if cache, err = runcache.Open(opts.cacheDir); err != nil {
+			if cache, err = runcache.Open(exp.CacheDir(opts.cacheDir)); err != nil {
 				return err
 			}
 		}

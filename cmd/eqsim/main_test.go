@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"equalizer/internal/config"
+	"equalizer/internal/exp"
+	"equalizer/internal/exp/runcache"
 	"equalizer/internal/kernels"
 )
 
@@ -363,14 +365,18 @@ func runCaptured(t *testing.T, opts options) (stdout, stderr string) {
 	return out.String(), string(data)
 }
 
-// cacheEntries counts the result files in a cache directory.
+// cacheEntries counts the result files eqsim keeps under a cache directory.
 func cacheEntries(t *testing.T, dir string) int {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	cache, err := runcache.Open(exp.CacheDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(entries)
+	n, err := cache.Len()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestSetRunsThroughTheCache: a -set run is a cached harness cell keyed on

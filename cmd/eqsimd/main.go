@@ -52,6 +52,7 @@ import (
 	"syscall"
 	"time"
 
+	"equalizer/internal/exp"
 	"equalizer/internal/service"
 	"equalizer/internal/telemetry"
 )
@@ -146,7 +147,7 @@ func run(o options) error {
 		GridScale:      o.scale,
 		Parallelism:    o.parallel,
 		QueueDepth:     o.queueDepth,
-		CacheDir:       o.cacheDir,
+		CacheDir:       exp.CacheDir(o.cacheDir),
 		TraceCapacity:  o.traceCap,
 		RetryAfter:     o.retryAfter,
 		Logger:         log,

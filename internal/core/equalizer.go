@@ -251,9 +251,8 @@ type Equalizer struct {
 	// Record enables per-epoch trace collection on every SM.
 	Record bool
 
-	// wcta holds the warps-per-block threshold for each SM; entries differ
-	// only when kernels run concurrently on disjoint SM partitions.
-	wcta   []int
+	// wcta is the running kernel's warps per block, Algorithm 1's W_cta.
+	wcta   int
 	accum  []smAccum
 	votes  []Vote
 	traces [][]TracePoint
@@ -296,18 +295,13 @@ func (e *Equalizer) TraceSM(i int) []TracePoint {
 	return e.traces[i]
 }
 
-// Reset implements gpu.Policy. Each SM's W_cta threshold comes from the
-// kernel the machine placed on it: equal to k.Wcta on a single-kernel launch,
-// and per partition when several kernels run side by side — the per-SM
-// decision making the paper motivates in Section I.
+// Reset implements gpu.Policy. Every SM's W_cta threshold is k.Wcta, the
+// warps per block of the kernel the machine is about to run.
 //
 //eqlint:cycle-owner
-func (e *Equalizer) Reset(m *gpu.Machine, _ kernels.Kernel) {
+func (e *Equalizer) Reset(m *gpu.Machine, k kernels.Kernel) {
 	n := m.NumSMs()
-	e.wcta = make([]int, n)
-	for i := range e.wcta {
-		e.wcta[i] = m.WctaFor(i)
-	}
+	e.wcta = k.Wcta
 	e.accum = make([]smAccum, n)
 	e.votes = make([]Vote, n)
 	e.traces = make([][]TracePoint, n)
@@ -343,7 +337,7 @@ func (e *Equalizer) decideEpoch(m *gpu.Machine, nowPS int64) {
 	for i := range e.accum {
 		a := &e.accum[i]
 		c := a.counters()
-		d := Decide(c, e.wcta[i], e.cfg.MemSaturationWarps)
+		d := Decide(c, e.wcta, e.cfg.MemSaturationWarps)
 		bus.Emit(nowPS, telemetry.KindEpochDecision, int16(i),
 			int64(d.Tendency), int64(d.BlockDelta))
 		e.votes[i] = VoteFor(d.Tendency, e.mode)
@@ -388,7 +382,7 @@ func (e *Equalizer) applyBlockDecision(m *gpu.Machine, smIdx int, a *smAccum, de
 	// An increase request at the ceiling (or decrease at the floor) is a
 	// no-op; do not accumulate a streak for it.
 	cur := m.SM(smIdx).TargetBlocks()
-	if (delta > 0 && cur >= m.MaxResidentBlocksFor(smIdx)) || (delta < 0 && cur <= 1) {
+	if (delta > 0 && cur >= m.MaxResidentBlocks()) || (delta < 0 && cur <= 1) {
 		a.streak, a.streakDir = 0, 0
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"equalizer/internal/gpu"
 	"equalizer/internal/kernels"
 	"equalizer/internal/power"
+	"equalizer/internal/telemetry"
 )
 
 func machine(t *testing.T, p gpu.Policy) *gpu.Machine {
@@ -37,6 +38,50 @@ func run(t *testing.T, p gpu.Policy, name string, grid int) gpu.Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestEqualizerWctaFollowsTheKernel runs cutcp (W_cta 6) and then bfs-2
+// (W_cta 16) back to back on one machine under one Equalizer. Every epoch
+// decision of each run must be Algorithm 1 on the recorded counters with
+// that run's kernel's W_cta, not the previous kernel's; at least one epoch
+// decides differently under the other kernel's W_cta, so the check can tell.
+func TestEqualizerWctaFollowsTheKernel(t *testing.T) {
+	eq := New(PerformanceMode)
+	eq.Record = true
+	m := machine(t, eq)
+	bus := telemetry.NewBus(1<<16, telemetry.MaskOf(telemetry.KindEpochDecision))
+	m.AttachTelemetry(bus)
+	ks := []kernels.Kernel{kernel(t, "cutcp", 60), kernel(t, "bfs-2", 0)}
+	memSat := config.DefaultEqualizer().MemSaturationWarps
+	discriminates := false
+	for i, k := range ks {
+		other := ks[1-i].Wcta
+		if _, err := m.RunKernel(k, 0); err != nil {
+			t.Fatal(err)
+		}
+		if eq.wcta != k.Wcta {
+			t.Fatalf("%s: W_cta %d after Reset, want %d", k.Name, eq.wcta, k.Wcta)
+		}
+		events := bus.Events()
+		bus.Reset()
+		if len(events) != m.NumSMs()*len(eq.Trace()) || len(events) == 0 {
+			t.Fatalf("%s: %d decisions for %d SMs x %d epochs", k.Name, len(events), m.NumSMs(), len(eq.Trace()))
+		}
+		for j, e := range events {
+			p := eq.TraceSM(int(e.Src))[j/m.NumSMs()]
+			got := Decision{Tendency: Tendency(e.A), BlockDelta: int(e.B)}
+			if want := Decide(p.Counters, k.Wcta, memSat); got != want {
+				t.Fatalf("%s SM %d epoch %d: decided %+v, want %+v with W_cta %d",
+					k.Name, e.Src, p.Epoch, got, want, k.Wcta)
+			}
+			if Decide(p.Counters, other, memSat) != got {
+				discriminates = true
+			}
+		}
+	}
+	if !discriminates {
+		t.Error("no epoch decides differently under the other kernel's W_cta")
+	}
 }
 
 func TestPerformanceModeBoostsComputeKernelSM(t *testing.T) {

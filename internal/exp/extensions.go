@@ -5,7 +5,6 @@ import (
 
 	"equalizer/internal/config"
 	"equalizer/internal/core"
-	"equalizer/internal/gpu"
 	"equalizer/internal/kernels"
 	"equalizer/internal/metrics"
 )
@@ -43,58 +42,6 @@ func (h *Harness) BoostComparison() ([]BoostRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// ConcurrentStudy runs the multi-kernel extension: a compute kernel and a
-// memory kernel share the GPU on disjoint SM partitions. Equalizer's per-SM
-// counters classify each partition correctly, but the chip-wide frequency
-// manager takes a majority vote, so with a split workload neither boost can
-// win — the inefficiency the paper attributes to a shared VRM (Section V-A).
-func (h *Harness) ConcurrentStudy() (string, error) {
-	compute, err := kernels.ByName("cutcp")
-	if err != nil {
-		return "", err
-	}
-	memory, err := kernels.ByName("lbm")
-	if err != nil {
-		return "", err
-	}
-	compute = compute.WithGridScale(h.scale*0.5, 7)
-	memory = memory.WithGridScale(h.scale*0.5, 7)
-	tasks := []gpu.Task{{Kernel: compute}, {Kernel: memory}}
-
-	run := func(p gpu.Policy) (perTask []gpu.Result, total gpu.Result, err error) {
-		m, err := gpu.New(h.gpuCfg, h.pwrCfg, p)
-		if err != nil {
-			return nil, gpu.Result{}, err
-		}
-		return m.RunConcurrent(tasks)
-	}
-	baseTasks, baseTotal, err := run(nil)
-	if err != nil {
-		return "", err
-	}
-	eqTasks, eqTotal, err := run(core.New(core.PerformanceMode))
-	if err != nil {
-		return "", err
-	}
-
-	var b strings.Builder
-	b.WriteString("Extension: concurrent kernels (cutcp ∥ lbm on disjoint SM partitions)\n")
-	t := metrics.NewTable("kernel", "baseline ms", "equalizer ms", "speedup")
-	for i := range baseTasks {
-		t.AddRowf(baseTasks[i].Kernel,
-			float64(baseTasks[i].TimePS)/1e9,
-			float64(eqTasks[i].TimePS)/1e9,
-			float64(baseTasks[i].TimePS)/float64(eqTasks[i].TimePS))
-	}
-	t.AddRowf("machine", float64(baseTotal.TimePS)/1e9, float64(eqTotal.TimePS)/1e9,
-		float64(baseTotal.TimePS)/float64(eqTotal.TimePS))
-	b.WriteString(t.String())
-	b.WriteString("per-SM counters classify each partition; the shared VRM's majority vote\n" +
-		"limits chip-wide frequency shifts when the halves disagree (the paper's\n" +
-		"argument for per-SM regulators).\n")
-	return b.String(), nil
 }
 
 // RenderBoostComparison formats the extension study.

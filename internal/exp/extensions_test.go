@@ -121,19 +121,6 @@ func TestAblationSweepsRunThroughTheCache(t *testing.T) {
 	}
 }
 
-func TestConcurrentStudyRenders(t *testing.T) {
-	h := smallHarness()
-	out, err := h.ConcurrentStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"cutcp", "lbm", "machine"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("concurrent study missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestAblationKernelSetCoversCategories(t *testing.T) {
 	seen := map[kernels.Category]bool{}
 	for _, k := range ablationKernels() {

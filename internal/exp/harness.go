@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -361,6 +362,18 @@ type runKey struct {
 // or the stored entry's layout changes in a result-affecting way. Bump it
 // whenever stored results would no longer match a fresh simulation.
 const cacheSchemaVersion = 2
+
+// CacheDir returns the directory under root, root/v<cacheSchemaVersion>,
+// that holds the disk result cache of the current schema; "" for "" (no
+// cache). The front ends open their runcache there, so entries of an older
+// schema stay in their own vN directories, are never read, and are safe to
+// delete.
+func CacheDir(root string) string {
+	if root == "" {
+		return ""
+	}
+	return filepath.Join(root, fmt.Sprintf("v%d", cacheSchemaVersion))
+}
 
 // cacheSchemaDigest is the sha256 of the cache entries that
 // TestCacheSchemaPinned simulates at cacheSchemaVersion. Re-pin it with

@@ -273,6 +273,66 @@ func TestCorruptCacheEntryFallsBackToSimulate(t *testing.T) {
 	}
 }
 
+// TestCacheDirIsolatesSchemaVersions puts two schema versions on one cache
+// directory. A plausible but wrong entry stored under the current key at the
+// root (where every entry lived before versioned directories) and under v1/
+// is never read: the run simulates, and its fresh entry lands in
+// v<cacheSchemaVersion>/, where the next harness finds it.
+func TestCacheDirIsolatesSchemaVersions(t *testing.T) {
+	k, err := kernels.ByName("mri_g-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	h0 := New(Options{GridScale: 0.1})
+	want := mustRun(t, h0, k, Baseline())
+	key := h0.cacheKey(k.Name, Baseline())
+	stale := want
+	stale.EnergyJ *= 2
+	for _, d := range []string{dir, filepath.Join(dir, "v1")} {
+		old, err := runcache.Open(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := old.Store(key, entryOf(stale)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if got, want := CacheDir(dir), filepath.Join(dir, fmt.Sprintf("v%d", cacheSchemaVersion)); got != want {
+		t.Fatalf("CacheDir(%q) = %q, want %q", dir, got, want)
+	}
+	if got := CacheDir(""); got != "" {
+		t.Errorf("CacheDir(\"\") = %q, want \"\" (no cache)", got)
+	}
+	cache, err := runcache.Open(CacheDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(Options{GridScale: 0.1, Cache: cache})
+	if got := mustRun(t, h, k, Baseline()); !reflect.DeepEqual(got, want) {
+		t.Errorf("run read an older version's entry: EnergyJ %v, want %v", got.EnergyJ, want.EnergyJ)
+	}
+	if st := h.SchedulerStats(); st.Simulated != 1 || st.CacheHits != 0 || st.CacheStores != 1 {
+		t.Errorf("stats %+v, want 1 simulated, 0 cache hits, 1 store", st)
+	}
+	if _, err := os.Stat(cache.Path(key)); err != nil {
+		t.Errorf("fresh entry not in the current version's directory: %v", err)
+	}
+
+	again, err := runcache.Open(CacheDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2 := New(Options{GridScale: 0.1, Cache: again})
+	if got := mustRun(t, h2, k, Baseline()); !reflect.DeepEqual(got, want) {
+		t.Errorf("warm run EnergyJ %v, want %v", got.EnergyJ, want.EnergyJ)
+	}
+	if st := h2.SchedulerStats(); st.CacheHits != 1 || st.Simulated != 0 {
+		t.Errorf("warm stats %+v, want the entry served from disk", st)
+	}
+}
+
 // TestUnwritableCacheServesUncached replaces an open cache's directory with
 // a regular file, so every Load and Store fails whatever the process's
 // permissions. The run must still succeed with the uncached result, count

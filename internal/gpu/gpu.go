@@ -56,8 +56,7 @@ type Result struct {
 	DRAMUtil float64
 	// Residency is wall time spent at each (domain, level).
 	Residency Residency
-	// Census is the invocation's chip-wide warp-state census; RunConcurrent
-	// reports it on the aggregate result only.
+	// Census is the invocation's chip-wide warp-state census.
 	Census Census
 }
 
@@ -110,9 +109,17 @@ type Machine struct {
 	censusOpen StateSums
 	censusN    int
 
-	// Kernel launch state: one partition per concurrently running kernel
-	// (a single partition spanning every SM in the common case).
-	parts []partition
+	// Launch state of the current (or last) invocation, which runs one
+	// kernel on every SM. maxRes is the kernel's per-SM occupancy limit
+	// (the hardware's before any run); smsIdle is set once the last block
+	// has finished, while the memory side may still be draining.
+	kernel      kernels.Kernel
+	inv         int
+	prof        *warp.Profile
+	maxRes      int
+	nextBlock   int
+	totalBlocks int
+	smsIdle     bool
 
 	// Power attribution state.
 	lastSMLevel    config.VFLevel
@@ -160,6 +167,7 @@ func New(cfg config.GPU, pcfg power.Config, policy Policy) (*Machine, error) {
 		freshMiss:    make([]portLine, cfg.NumSMs),
 		meter:        power.NewMeter(pcfg),
 		policy:       policy,
+		maxRes:       cfg.MaxBlocksPerSM,
 		lastSMLevel:  config.VFNormal,
 		lastMemLevel: config.VFNormal,
 	}
@@ -206,43 +214,9 @@ func (m *Machine) SMLevel() config.VFLevel { return m.smDomain.Level() }
 // MemLevel returns the memory domain's effective VF level.
 func (m *Machine) MemLevel() config.VFLevel { return m.memDomain.Level() }
 
-// Kernel returns the kernel of the current/last invocation (the first
-// partition's kernel when several run concurrently); the zero Kernel before
-// any run.
-func (m *Machine) Kernel() kernels.Kernel {
-	if len(m.parts) == 0 {
-		return kernels.Kernel{}
-	}
-	return m.parts[0].kernel
-}
-
-// MaxResidentBlocks returns the per-SM occupancy limit of the first
-// partition's kernel; use MaxResidentBlocksFor with concurrent kernels.
-func (m *Machine) MaxResidentBlocks() int {
-	if len(m.parts) == 0 {
-		return m.cfg.MaxBlocksPerSM
-	}
-	return m.parts[0].maxRes
-}
-
-// MaxResidentBlocksFor returns the occupancy limit that applies to SM i.
-func (m *Machine) MaxResidentBlocksFor(i int) int {
-	return m.partitionOf(i).maxRes
-}
-
-// WctaFor returns the warps-per-block of the kernel running on SM i.
-func (m *Machine) WctaFor(i int) int { return m.partitionOf(i).wcta }
-
-// partitionOf maps an SM index to its partition.
-func (m *Machine) partitionOf(i int) *partition {
-	for p := range m.parts {
-		if i >= m.parts[p].smLo && i < m.parts[p].smHi {
-			return &m.parts[p]
-		}
-	}
-	// No run configured yet: report hardware defaults.
-	return &partition{maxRes: m.cfg.MaxBlocksPerSM, wcta: 1}
-}
+// MaxResidentBlocks returns the per-SM occupancy limit of the current (or
+// last) kernel; the hardware's MaxBlocksPerSM before any run.
+func (m *Machine) MaxResidentBlocks() int { return m.maxRes }
 
 // RequestSMLevel asks the SM-domain voltage regulator to move to the target
 // level; the change takes effect after the configured VRM delay. Requests
@@ -284,8 +258,8 @@ func (m *Machine) SetLevelsImmediate(smL, memL config.VFLevel) {
 // SetTargetBlocks sets SM i's concurrency ceiling, clamped to the kernel's
 // occupancy limit.
 func (m *Machine) SetTargetBlocks(i, n int) {
-	if limit := m.MaxResidentBlocksFor(i); n > limit {
-		n = limit
+	if n > m.maxRes {
+		n = m.maxRes
 	}
 	m.sms[i].SetTargetBlocks(n)
 }
@@ -300,72 +274,19 @@ func (m *Machine) SetAllTargetBlocks(n int) {
 // maxInvocationCycles bounds one invocation as a deadlock backstop.
 const maxInvocationCycles = 30_000_000
 
-// partition is the launch state of one kernel occupying the SM range
-// [smLo, smHi). A single kernel uses one partition over every SM;
-// RunConcurrent splits the machine.
-type partition struct {
-	kernel kernels.Kernel
-	inv    int
-	prof   *warp.Profile
-	wcta   int
-	maxRes int
-	smLo   int
-	smHi   int
-
-	nextBlock   int
-	totalBlocks int
-	// finishPS is the wall time at which the partition's last block
-	// completed; zero while running.
-	finishPS int64
-}
-
-// Task names one kernel invocation for concurrent execution.
-type Task struct {
-	Kernel     kernels.Kernel
-	Invocation int
-}
-
 // RunKernel simulates one invocation of k and returns its result. Machine
 // state (cache contents aside from L1, VF levels) carries across calls, so
 // consecutive invocations model a real launch sequence. An error is returned
 // only if the invocation exceeds the cycle backstop (a simulator bug).
 func (m *Machine) RunKernel(k kernels.Kernel, inv int) (Result, error) {
-	results, total, err := m.run([]Task{{Kernel: k, Invocation: inv}})
+	start, err := m.launch(k, inv)
 	if err != nil {
 		return Result{}, err
 	}
-	total.Kernel = results[0].Kernel
-	total.Invocation = results[0].Invocation
-	return total, nil
-}
-
-// RunConcurrent simulates several kernels side by side, each on its own
-// even share of the SMs — the multi-kernel scenario the paper cites as the
-// motivation for per-SM decision making (Section I). It returns one result
-// per task (TimePS is the task's own completion time; energy and the other
-// machine-wide metrics are reported on the aggregate result) plus the
-// machine-wide aggregate.
-func (m *Machine) RunConcurrent(tasks []Task) ([]Result, Result, error) {
-	if len(tasks) == 0 {
-		return nil, Result{}, fmt.Errorf("gpu: RunConcurrent needs at least one task")
-	}
-	if len(tasks) > m.cfg.NumSMs {
-		return nil, Result{}, fmt.Errorf("gpu: %d tasks exceed %d SMs", len(tasks), m.cfg.NumSMs)
-	}
-	return m.run(tasks)
-}
-
-// run simulates one launch: set-up, the two-domain loop, result assembly.
-func (m *Machine) run(tasks []Task) ([]Result, Result, error) {
-	start, err := m.launch(tasks)
-	if err != nil {
-		return nil, Result{}, err
-	}
 	if err := m.loop(); err != nil {
-		return nil, Result{}, err
+		return Result{}, err
 	}
-	results, total := m.assemble(start)
-	return results, total, nil
+	return m.assemble(start), nil
 }
 
 // runStart is the machine state launch snapshots so assemble can report the
@@ -379,40 +300,22 @@ type runStart struct {
 	res      Residency
 }
 
-// launch partitions the SMs among tasks, resets per-invocation machine and
-// policy state, and snapshots the counters the result is measured against.
-func (m *Machine) launch(tasks []Task) (runStart, error) {
-	m.parts = m.parts[:0]
-	n := m.cfg.NumSMs
-	k := len(tasks)
-	for i, task := range tasks {
-		prof := task.Kernel.Profile(task.Invocation)
-		if err := prof.Validate(); err != nil {
-			return runStart{}, fmt.Errorf("gpu: %s invocation %d: %w",
-				task.Kernel.Name, task.Invocation, err)
-		}
-		if len(tasks) > 1 {
-			// Concurrent kernels address disjoint data: shift each
-			// partition's generated warp ids into its own region.
-			salted := *prof
-			salted.WarpIDOffset += i * 8192
-			prof = &salted
-		}
-		m.parts = append(m.parts, partition{
-			kernel:      task.Kernel,
-			inv:         task.Invocation,
-			prof:        prof,
-			wcta:        task.Kernel.Wcta,
-			maxRes:      task.Kernel.MaxResidentBlocks(m.cfg.MaxWarpsPerSM),
-			smLo:        i * n / k,
-			smHi:        (i + 1) * n / k,
-			totalBlocks: task.Kernel.Grid(task.Invocation),
-		})
+// launch places invocation inv of k on every SM, resets per-invocation
+// machine and policy state, and snapshots the counters the result is
+// measured against.
+func (m *Machine) launch(k kernels.Kernel, inv int) (runStart, error) {
+	prof := k.Profile(inv)
+	if err := prof.Validate(); err != nil {
+		return runStart{}, fmt.Errorf("gpu: %s invocation %d: %w", k.Name, inv, err)
 	}
+	m.kernel, m.inv, m.prof = k, inv, prof
+	m.maxRes = k.MaxResidentBlocks(m.cfg.MaxWarpsPerSM)
+	m.nextBlock, m.totalBlocks = 0, k.Grid(inv)
+	m.smsIdle = false
 
-	for i, s := range m.sms {
+	for _, s := range m.sms {
 		s.Reset(false)
-		s.SetTargetBlocks(m.partitionOf(i).maxRes)
+		s.SetTargetBlocks(m.maxRes)
 		s.SetMemIssueMask(^uint64(0))
 		s.SetL1Listener(nil)
 	}
@@ -424,16 +327,13 @@ func (m *Machine) launch(tasks []Task) (runStart, error) {
 	m.l2Replies.Reset()
 
 	if m.policy != nil {
-		m.policy.Reset(m, m.parts[0].kernel)
+		m.policy.Reset(m, k)
 	}
 	m.census = Census{Series: m.census.Series[:0]} // the last Result holds a copy
 	m.censusOpen, m.censusN = StateSums{}, 0
 
 	startPS := int64(m.smDomain.Next())
-	for p := range m.parts {
-		m.bus.Emit(startPS, telemetry.KindKernelBegin, int16(p),
-			int64(m.parts[p].inv), int64(m.parts[p].totalBlocks))
-	}
+	m.bus.Emit(startPS, telemetry.KindKernelBegin, 0, int64(inv), int64(m.totalBlocks))
 	startSMCycles := m.smDomain.Cycle()
 	m.flushPower()
 	m.meter.Reset()
@@ -448,8 +348,8 @@ func (m *Machine) launch(tasks []Task) (runStart, error) {
 }
 
 // loop is the interleaved two-domain event loop and the canonical advance
-// site for the machine-level cycle counters. It returns when every partition
-// has finished and the memory system has drained, or with an error if the
+// site for the machine-level cycle counters. It returns when the kernel has
+// finished and the memory system has drained, or with an error if the
 // invocation exceeds the cycle backstop.
 //
 //eqlint:cycle-owner
@@ -496,9 +396,8 @@ func (m *Machine) loop() error {
 }
 
 // assemble flushes power attribution and reports the invocation as deltas
-// against the launch snapshot: one Result per partition plus the
-// machine-wide aggregate.
-func (m *Machine) assemble(start runStart) ([]Result, Result) {
+// against the launch snapshot.
+func (m *Machine) assemble(start runStart) Result {
 	m.flushPower()
 	endPS := int64(m.smDomain.Next())
 	endStats := m.aggregateSMStats()
@@ -507,8 +406,8 @@ func (m *Machine) assemble(start runStart) ([]Result, Result) {
 	endRes := m.residency()
 
 	total := Result{
-		Kernel:     m.parts[0].kernel.Name,
-		Invocation: m.parts[0].inv,
+		Kernel:     m.kernel.Name,
+		Invocation: m.inv,
 		SMCycles:   m.smDomain.Cycle() - start.smCycles,
 		TimePS:     endPS - start.ps,
 		Energy:     m.meter.Energy(),
@@ -535,17 +434,7 @@ func (m *Machine) assemble(start runStart) ([]Result, Result) {
 		total.Residency.Mem[i] = endRes.Mem[i] - start.res.Mem[i]
 	}
 
-	results := make([]Result, len(m.parts))
-	for i := range m.parts {
-		pt := &m.parts[i]
-		results[i] = Result{
-			Kernel:     pt.kernel.Name,
-			Invocation: pt.inv,
-			TimePS:     pt.finishPS - start.ps,
-			SMCycles:   (pt.finishPS - start.ps) / int64(m.cfg.SMClockPS),
-		}
-	}
-	return results, total
+	return total
 }
 
 // machineCheckInterval spaces the machine-wide invariant sweep; it is
@@ -553,18 +442,9 @@ func (m *Machine) assemble(start runStart) ([]Result, Result) {
 // structures.
 const machineCheckInterval = 4096
 
-// invocationLabel names the running invocation(s) for diagnostics. The
-// single-kernel form is stable ("NAME invocation N"); concurrent runs list
-// every partition joined with "+".
+// invocationLabel names the running invocation for diagnostics.
 func (m *Machine) invocationLabel() string {
-	label := ""
-	for p := range m.parts {
-		if p > 0 {
-			label += "+"
-		}
-		label += fmt.Sprintf("%s invocation %d", m.parts[p].kernel.Name, m.parts[p].inv)
-	}
-	return label
+	return fmt.Sprintf("%s invocation %d", m.kernel.Name, m.inv)
 }
 
 // verifyInvariants asserts machine-wide conservation laws. Only compiled
@@ -647,54 +527,34 @@ func (m *Machine) checkDrained() error {
 	return nil
 }
 
-// done reports completion and stamps partition finish times.
+// done reports completion: every block dispatched and finished, then the
+// memory side drained. KindKernelEnd marks the cycle the SMs went idle.
 func (m *Machine) done(nowPS int64) bool {
-	allDone := true
-	for p := range m.parts {
-		pt := &m.parts[p]
-		if pt.finishPS != 0 {
-			continue
+	if !m.smsIdle {
+		if m.nextBlock < m.totalBlocks {
+			return false
 		}
-		if pt.nextBlock < pt.totalBlocks {
-			allDone = false
-			continue
-		}
-		idle := true
-		for i := pt.smLo; i < pt.smHi; i++ {
-			if !m.sms[i].Idle() {
-				idle = false
-				break
+		for _, s := range m.sms {
+			if !s.Idle() {
+				return false
 			}
 		}
-		if idle {
-			pt.finishPS = nowPS
-			m.bus.Emit(nowPS, telemetry.KindKernelEnd, int16(p), int64(pt.inv), 0)
-		} else {
-			allDone = false
-		}
-	}
-	if !allDone {
-		return false
+		m.smsIdle = true
+		m.bus.Emit(nowPS, telemetry.KindKernelEnd, 0, int64(m.inv), 0)
 	}
 	return m.net.Drained() && m.dram.Drained() && m.l2Replies.Len() == 0
 }
 
 // dispatchBlocks launches pending blocks onto SMs with free slots.
 func (m *Machine) dispatchBlocks() {
-	for p := range m.parts {
-		pt := &m.parts[p]
-		if pt.nextBlock >= pt.totalBlocks {
-			continue
+	wcta := m.kernel.Wcta
+	for _, s := range m.sms {
+		for m.nextBlock < m.totalBlocks && s.WantsBlock(wcta) {
+			s.LaunchBlock(m.prof, m.nextBlock, wcta)
+			m.nextBlock++
 		}
-		for i := pt.smLo; i < pt.smHi; i++ {
-			s := m.sms[i]
-			for pt.nextBlock < pt.totalBlocks && s.WantsBlock(pt.wcta) {
-				s.LaunchBlock(pt.prof, pt.nextBlock, pt.wcta)
-				pt.nextBlock++
-			}
-			if pt.nextBlock >= pt.totalBlocks {
-				break
-			}
+		if m.nextBlock >= m.totalBlocks {
+			return
 		}
 	}
 }

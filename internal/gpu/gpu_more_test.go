@@ -90,14 +90,14 @@ func TestBlocksRemainingDrains(t *testing.T) {
 	m := newMachine(t)
 	var sawMid bool
 	m.policy = &funcPolicy{fn: func(machine *Machine, _ clock.Time, c int64) {
-		if r := machine.parts[0].totalBlocks - machine.parts[0].nextBlock; r > 0 && r < 30 {
+		if r := machine.totalBlocks - machine.nextBlock; r > 0 && r < 30 {
 			sawMid = true
 		}
 	}}
 	if _, err := m.RunKernel(smallKernel(t, "cutcp", 30), 0); err != nil {
 		t.Fatal(err)
 	}
-	if r := m.parts[0].totalBlocks - m.parts[0].nextBlock; r != 0 {
+	if r := m.totalBlocks - m.nextBlock; r != 0 {
 		t.Fatalf("blocks remaining = %d at end", r)
 	}
 	_ = sawMid // mid-run draining is timing-dependent; end state is the contract

@@ -70,7 +70,7 @@ type leakAtDrain struct{ leaked bool }
 func (p *leakAtDrain) Name() string                   { return "leak-at-drain" }
 func (p *leakAtDrain) Reset(*Machine, kernels.Kernel) { p.leaked = false }
 func (p *leakAtDrain) OnSMCycle(m *Machine, _ clock.Time, _ int64) {
-	if p.leaked || m.parts[0].nextBlock < m.parts[0].totalBlocks || !m.net.Drained() || !m.dram.Drained() || m.l2Replies.Len() > 0 {
+	if p.leaked || m.nextBlock < m.totalBlocks || !m.net.Drained() || !m.dram.Drained() || m.l2Replies.Len() > 0 {
 		return
 	}
 	for _, s := range m.sms {

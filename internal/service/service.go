@@ -41,8 +41,9 @@ type Config struct {
 	// with 429. 0 means 64; negative means no queueing (admit only up to
 	// the worker count).
 	QueueDepth int
-	// CacheDir roots the persistent result cache; empty disables disk
-	// caching (the in-process memo still applies).
+	// CacheDir is the persistent result cache's directory (eqsimd passes
+	// exp.CacheDir of its -cache-dir); empty disables disk caching (the
+	// in-process memo still applies).
 	CacheDir string
 	// TraceCapacity sizes the request-trace ring buffer (0 = 256).
 	TraceCapacity int

@@ -30,7 +30,6 @@ import (
 // capture is everything observable from one run configuration.
 type capture struct {
 	results  []gpu.Result
-	totals   []gpu.Result
 	events   []telemetry.Event
 	dropped  uint64
 	trace    []byte
@@ -42,10 +41,10 @@ type capture struct {
 // and find-first-set selection must replicate event for event.
 var censusMask = telemetry.MaskSpans | telemetry.MaskOf(telemetry.KindStallCensus, telemetry.KindWarpIssue)
 
-// runCapture executes invocations of tasks on a fresh machine built from cfg,
-// issuing from the bitset path or the scan reference, and captures every
-// observable output.
-func runCapture(t *testing.T, cfg config.GPU, tasks []gpu.Task, invocations int,
+// runCapture executes invocations of k, starting at invocation inv, on a
+// fresh machine built from cfg, issuing from the bitset path or the scan
+// reference, and captures every observable output.
+func runCapture(t *testing.T, cfg config.GPU, k kernels.Kernel, inv, invocations int,
 	mkPolicy func() gpu.Policy, mask telemetry.Mask, scan bool) capture {
 	t.Helper()
 	var pol gpu.Policy
@@ -65,28 +64,18 @@ func runCapture(t *testing.T, cfg config.GPU, tasks []gpu.Task, invocations int,
 	m.AttachTelemetry(bus)
 
 	var c capture
-	for inv := 0; inv < invocations; inv++ {
-		if len(tasks) == 1 {
-			res, err := m.RunKernel(tasks[0].Kernel,
-				(tasks[0].Invocation+inv)%tasks[0].Kernel.Invocations)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.results = append(c.results, res)
-		} else {
-			rs, total, err := m.RunConcurrent(tasks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.results = append(c.results, rs...)
-			c.totals = append(c.totals, total)
+	for i := 0; i < invocations; i++ {
+		res, err := m.RunKernel(k, (inv+i)%k.Invocations)
+		if err != nil {
+			t.Fatal(err)
 		}
+		c.results = append(c.results, res)
 	}
 	c.events = bus.Events()
 	c.dropped = bus.Dropped()
 	var buf bytes.Buffer
 	err = telemetry.WriteChromeTrace(&buf, c.events, telemetry.ChromeOptions{
-		NumSMs: m.NumSMs(), Kernel: tasks[0].Kernel.Name,
+		NumSMs: m.NumSMs(), Kernel: k.Name,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +92,11 @@ func runCapture(t *testing.T, cfg config.GPU, tasks []gpu.Task, invocations int,
 
 // runPair runs the same configuration on the bitset path and on the scan
 // reference and requires identical captures.
-func runPair(t *testing.T, cfg config.GPU, tasks []gpu.Task, invocations int,
+func runPair(t *testing.T, cfg config.GPU, k kernels.Kernel, inv, invocations int,
 	mkPolicy func() gpu.Policy, mask telemetry.Mask) {
 	t.Helper()
-	bitset := runCapture(t, cfg, tasks, invocations, mkPolicy, mask, false)
-	scan := runCapture(t, cfg, tasks, invocations, mkPolicy, mask, true)
+	bitset := runCapture(t, cfg, k, inv, invocations, mkPolicy, mask, false)
+	scan := runCapture(t, cfg, k, inv, invocations, mkPolicy, mask, true)
 	compareCaptures(t, bitset, scan)
 }
 
@@ -115,9 +104,6 @@ func compareCaptures(t *testing.T, bitset, scan capture) {
 	t.Helper()
 	if !reflect.DeepEqual(bitset.results, scan.results) {
 		t.Errorf("results diverge:\nbitset: %+v\nscan:   %+v", bitset.results, scan.results)
-	}
-	if !reflect.DeepEqual(bitset.totals, scan.totals) {
-		t.Errorf("aggregate results diverge:\nbitset: %+v\nscan:   %+v", bitset.totals, scan.totals)
 	}
 	if bitset.dropped != scan.dropped {
 		t.Errorf("dropped events diverge: bitset %d, scan %d", bitset.dropped, scan.dropped)
@@ -170,7 +156,7 @@ func TestFastForwardByteIdenticalAllKernels(t *testing.T) {
 			if k.GridBlocks > 45 {
 				k.GridBlocks = 45
 			}
-			runPair(t, config.Default(), []gpu.Task{{Kernel: k}}, 1,
+			runPair(t, config.Default(), k, 0, 1,
 				recordingEqualizer(core.EnergyMode), telemetry.MaskSpans)
 		})
 	}
@@ -190,7 +176,7 @@ func TestFastForwardByteIdenticalCensusMask(t *testing.T) {
 			}
 			k.GridBlocks = 30
 			mk := func() gpu.Policy { return core.New(core.PerformanceMode) }
-			runPair(t, config.Default(), []gpu.Task{{Kernel: k}}, 1, mk, censusMask)
+			runPair(t, config.Default(), k, 0, 1, mk, censusMask)
 		})
 	}
 }
@@ -207,7 +193,7 @@ func TestFastForwardByteIdenticalMonitorMulti(t *testing.T) {
 	}
 	k.GridBlocks = 45
 	mk := func() gpu.Policy { return policy.NewStaticBlocks(4) }
-	runPair(t, config.Default(), []gpu.Task{{Kernel: k}}, 2, mk, telemetry.MaskSpans)
+	runPair(t, config.Default(), k, 0, 2, mk, telemetry.MaskSpans)
 }
 
 // TestFastForwardByteIdenticalCCWS compares a CCWS run: its memory-issue
@@ -220,23 +206,7 @@ func TestFastForwardByteIdenticalCCWS(t *testing.T) {
 	}
 	k.GridBlocks = 30
 	mk := func() gpu.Policy { return policy.NewCCWS() }
-	runPair(t, config.Default(), []gpu.Task{{Kernel: k}}, 1, mk, telemetry.MaskSpans)
-}
-
-// TestFastForwardByteIdenticalConcurrent compares a concurrent two-kernel run
-// (disjoint SM partitions, per-partition completion stamps) under Equalizer.
-func TestFastForwardByteIdenticalConcurrent(t *testing.T) {
-	kc, err := kernels.ByName("cutcp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	km, err := kernels.ByName("cfd-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	kc.GridBlocks, km.GridBlocks = 24, 24
-	tasks := []gpu.Task{{Kernel: kc}, {Kernel: km}}
-	runPair(t, config.Default(), tasks, 1, recordingEqualizer(core.EnergyMode), telemetry.MaskSpans)
+	runPair(t, config.Default(), k, 0, 1, mk, telemetry.MaskSpans)
 }
 
 // TestFastForwardByteIdenticalNilPolicy compares unmanaged back-to-back
@@ -248,7 +218,7 @@ func TestFastForwardByteIdenticalNilPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.GridBlocks = 30
-	runPair(t, config.Default(), []gpu.Task{{Kernel: k}}, 2, nil, telemetry.MaskSpans)
+	runPair(t, config.Default(), k, 0, 2, nil, telemetry.MaskSpans)
 }
 
 // fuzzPolicies are the policies FuzzIssueDifferential picks from.
@@ -281,8 +251,7 @@ func FuzzIssueDifferential(f *testing.F) {
 		if err := cfg.Validate(); err != nil {
 			t.Skip(err)
 		}
-		tasks := []gpu.Task{{Kernel: k, Invocation: invocation}}
-		runPair(t, cfg, tasks, 1, fuzzPolicies[int(pol)%len(fuzzPolicies)], censusMask)
+		runPair(t, cfg, k, invocation, 1, fuzzPolicies[int(pol)%len(fuzzPolicies)], censusMask)
 	})
 }
 

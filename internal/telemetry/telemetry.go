@@ -20,10 +20,11 @@ package telemetry
 type Kind uint8
 
 const (
-	// KindKernelBegin marks the start of one kernel partition's execution.
-	// Src is the partition index; A is the invocation number.
+	// KindKernelBegin marks the start of one kernel invocation on every SM.
+	// Src is 0; A is the invocation number; B is the grid's block count.
 	KindKernelBegin Kind = iota
-	// KindKernelEnd closes a KindKernelBegin. Src is the partition index.
+	// KindKernelEnd closes a KindKernelBegin when the last block finishes,
+	// before the memory side drains. Src is 0; A is the invocation number.
 	KindKernelEnd
 	// KindEpoch marks an Equalizer epoch boundary. Src is -1 (global);
 	// A is the 1-based epoch index; B packs the majority frequency vote as
@@ -134,8 +135,8 @@ type Event struct {
 	TimePS int64
 	// A and B are kind-specific payload words.
 	A, B int64
-	// Src is the emitting unit: an SM index, partition or domain
-	// ordinal; -1 for the machine-global KindEpoch.
+	// Src is the emitting unit: an SM index or domain ordinal; 0 for the
+	// kernel boundaries and -1 for the machine-global KindEpoch.
 	Src int16
 	// Kind is the event type.
 	Kind Kind

@@ -171,10 +171,6 @@ type Profile struct {
 	Phases []Phase
 	// LineBytes is the cache-line size used for address generation.
 	LineBytes int
-	// WarpIDOffset shifts every stream's global warp id; concurrent kernels
-	// on disjoint SM partitions use distinct offsets so their generated
-	// address spaces cannot alias.
-	WarpIDOffset int
 }
 
 // Validate reports a descriptive error for an unusable profile.
@@ -235,7 +231,7 @@ func NewStream(prof *Profile, globalID int) *Stream {
 // allocation. The SM embeds streams by value in its warp slots and reuses
 // them across block launches, keeping warp-slot turnover off the heap.
 func (s *Stream) Init(prof *Profile, globalID int) {
-	*s = Stream{prof: prof, globalID: globalID + prof.WarpIDOffset}
+	*s = Stream{prof: prof, globalID: globalID}
 }
 
 // Done reports whether the stream has emitted EXIT.
